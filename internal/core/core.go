@@ -307,7 +307,7 @@ func finishResult(res *Result, cfg Config) {
 		res.Cost = cfg.Meter.Report()
 	}
 	if cfg.Telemetry != nil {
-		publishRunTelemetry(cfg.Telemetry, res)
+		publishRunTelemetry(cfg.Telemetry, res, cfg.Meter != nil)
 		res.Telemetry = cfg.Telemetry.Snapshot()
 	}
 }
@@ -315,8 +315,10 @@ func finishResult(res *Result, cfg Config) {
 // publishRunTelemetry pushes the end-of-run summary quantities into the
 // registry: the VM's ground-truth totals (counters: they accumulate when the
 // registry is shared across runs) and latest-run summary gauges (aborted
-// transactions, modelled cost, PCD's replayed-transaction fraction).
-func publishRunTelemetry(reg *telemetry.Registry, res *Result) {
+// transactions, modelled cost, PCD's replayed-transaction fraction). The
+// modelled-cost gauges are published only for a metered run: without a
+// meter there is no cost to report, and a 0 would read as a measurement.
+func publishRunTelemetry(reg *telemetry.Registry, res *Result, metered bool) {
 	s := &res.VMStats
 	reg.Counter(telemetry.VMSteps).Add(s.Steps)
 	reg.Counter(telemetry.VMFieldAccesses).Add(s.FieldAccesses)
@@ -325,11 +327,13 @@ func publishRunTelemetry(reg *telemetry.Registry, res *Result) {
 	reg.Counter(telemetry.VMRegularTx).Add(s.RegularTx)
 	reg.Counter(telemetry.VMTxEnds).Add(s.TxEnds)
 	reg.Gauge(telemetry.VMAbortedTx).Set(float64(s.AbortedTx()))
-	reg.Gauge(telemetry.CostTotal).Set(float64(res.Cost.Total))
-	reg.Gauge(telemetry.CostGC).Set(float64(res.Cost.GC))
-	reg.Gauge(telemetry.CostPeak).Set(float64(res.Cost.PeakBytes))
-	if res.Cost.OOM {
-		reg.Gauge(telemetry.CostOOM).Set(1)
+	if metered {
+		reg.Gauge(telemetry.CostTotal).Set(float64(res.Cost.Total))
+		reg.Gauge(telemetry.CostGC).Set(float64(res.Cost.GC))
+		reg.Gauge(telemetry.CostPeak).Set(float64(res.Cost.PeakBytes))
+		if res.Cost.OOM {
+			reg.Gauge(telemetry.CostOOM).Set(1)
+		}
 	}
 	// Fraction of this run's transactions that ICD sent to PCD (distinct;
 	// SCCs can re-report members). In (0,1] whenever PCD replayed anything.

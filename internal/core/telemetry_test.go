@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"doublechecker/internal/cost"
 	"doublechecker/internal/spec"
 	"doublechecker/internal/telemetry"
 	"doublechecker/internal/trace"
@@ -57,6 +58,37 @@ func TestRunTelemetryPrivateRegistry(t *testing.T) {
 	}
 	if a.Telemetry.Counter(telemetry.VMFieldAccesses) == 0 {
 		t.Error("vm.accesses.field = 0 after a replay")
+	}
+}
+
+// TestCostGaugesOnlyWhenMetered: the modelled-cost gauges are published
+// for a metered run and omitted, not zeroed, for an unmetered one.
+func TestCostGaugesOnlyWhenMetered(t *testing.T) {
+	d, err := trace.ReadFile(filepath.Join("..", "..", "testdata", "traces", "elevator.dct"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	costGauges := []string{telemetry.CostTotal, telemetry.CostGC, telemetry.CostPeak, telemetry.CostOOM}
+	res, err := RunTrace(context.Background(), d, Config{Analysis: DCSingle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range costGauges {
+		if v, ok := res.Telemetry.Gauges[name]; ok {
+			t.Errorf("unmetered run published %s = %v", name, v)
+		}
+	}
+	res, err = RunTrace(context.Background(), d, Config{Analysis: DCSingle, Meter: cost.NewMeter(cost.Default())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range costGauges[:3] {
+		if _, ok := res.Telemetry.Gauges[name]; !ok {
+			t.Errorf("metered run did not publish %s", name)
+		}
+	}
+	if got := res.Telemetry.Gauges[telemetry.CostTotal]; got != float64(res.Cost.Total) || got == 0 {
+		t.Errorf("%s = %v, want the meter's total %d", telemetry.CostTotal, got, res.Cost.Total)
 	}
 }
 

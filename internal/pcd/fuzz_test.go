@@ -115,8 +115,9 @@ func buildFuzzRun(data []byte) [][]*txn.Txn {
 	return groups
 }
 
-// FuzzPCDProcess: on any synthetic SCC log, the serial checker and the
-// concurrent pool must report the identical violation sequence and stats.
+// FuzzPCDProcess: on any synthetic SCC log, the serial checker, the
+// concurrent pool and the map-based reference replay must report the
+// identical violation sequence and stats.
 func FuzzPCDProcess(f *testing.F) {
 	// The canonical racy increment, a no-conflict run, and edge-heavy noise.
 	f.Add([]byte{0, 0, 10, 1, 0, 20, 0, 2, 1, 0, 0, 1, 2, 1, 0, 1, 6, 0, 1, 0, 2, 1, 0, 1, 1, 1, 0, 1})
@@ -127,8 +128,22 @@ func FuzzPCDProcess(f *testing.F) {
 			groups := buildFuzzRun(data)
 
 			serial := NewChecker(nil, order)
+			ref := NewChecker(nil, order)
 			for _, g := range groups {
 				serial.Process(g)
+				ref.processReference(g)
+			}
+			sv, rv := serial.Violations(), ref.Violations()
+			if len(sv) != len(rv) {
+				t.Fatalf("order %v: dense %d violations, reference %d", order, len(sv), len(rv))
+			}
+			for i := range sv {
+				if d, r := exactViolationKey(sv[i]), exactViolationKey(rv[i]); d != r {
+					t.Fatalf("order %v: violation %d: dense %q reference %q", order, i, d, r)
+				}
+			}
+			if serial.Stats() != ref.Stats() {
+				t.Fatalf("order %v: stats dense %+v reference %+v", order, serial.Stats(), ref.Stats())
 			}
 
 			pool := NewPool(PoolConfig{Workers: 3, Order: order})

@@ -21,11 +21,11 @@
 package pcd
 
 import (
-	"fmt"
+	"encoding/binary"
+	"slices"
 	"sort"
 
 	"doublechecker/internal/cost"
-	"doublechecker/internal/graph"
 	"doublechecker/internal/obs"
 	"doublechecker/internal/telemetry"
 	"doublechecker/internal/txn"
@@ -73,7 +73,7 @@ type Checker struct {
 	order ReplayOrder
 
 	violations []txn.Violation
-	seen       map[string]bool     // cycle identity (sorted txn IDs) dedup
+	cycles     cycleSet            // distinct cycles reported so far
 	seenTxns   map[uint64]struct{} // distinct txn IDs sent to PCD (nil on shards)
 	deferred   bool                // shard mode: record Finds, defer dedup/blame
 	finds      []Find
@@ -81,6 +81,7 @@ type Checker struct {
 	tel        *tel
 	tspan      obs.Span // request-scoped parent for pcd.replay spans
 	tempBytes  int64    // live replay temporaries (released per Process)
+	rs         *replay  // dense replay scratch, reused across Process calls
 }
 
 // SetTelemetry attaches a registry: Process then records live counters, the
@@ -127,7 +128,6 @@ func NewChecker(meter *cost.Meter, order ReplayOrder) *Checker {
 	return &Checker{
 		meter:    meter,
 		order:    order,
-		seen:     make(map[string]bool),
 		seenTxns: make(map[uint64]struct{}),
 	}
 }
@@ -199,74 +199,13 @@ func (c *Checker) model() cost.Model {
 	return cost.Model{}
 }
 
-// entryRef locates one log entry during replay.
-type entryRef struct {
-	tx  *txn.Txn
-	idx int
-}
-
-// fieldKey is PCD's per-field metadata key; sync accesses use a separate
-// metadata space (they model the paper's per-object lock-release word).
-type fieldKey struct {
-	obj   vm.ObjectID
-	field vm.FieldID
-	sync  bool
-}
-
-// pdg is the precise dependence graph over one Process invocation.
-type pdg struct {
-	adj   map[*txn.Txn]map[*txn.Txn]uint64 // -> edge order (first occurrence)
-	succs map[*txn.Txn][]*txn.Txn
-}
-
-func newPDG() *pdg {
-	return &pdg{
-		adj:   make(map[*txn.Txn]map[*txn.Txn]uint64),
-		succs: make(map[*txn.Txn][]*txn.Txn),
-	}
-}
-
-// add inserts an edge with the given order if absent; reports whether it was
-// new.
-func (g *pdg) add(src, dst *txn.Txn, order uint64) bool {
-	if src == dst {
-		return false
-	}
-	m := g.adj[src]
-	if m == nil {
-		m = make(map[*txn.Txn]uint64)
-		g.adj[src] = m
-	}
-	if _, ok := m[dst]; ok {
-		return false
-	}
-	m[dst] = order
-	g.succs[src] = append(g.succs[src], dst)
-	return true
-}
-
-func (g *pdg) order(src, dst *txn.Txn) (uint64, bool) {
-	o, ok := g.adj[src][dst]
-	return o, ok
-}
-
-// segState tracks the current PDG node ("segment") of one replayed
-// transaction. Regular transactions are a single node. Unary transactions
-// are re-split during replay: ICD merged their accesses based on the
-// imprecise IDG edges, but the merging optimization is only valid between
-// accesses uninterrupted by edges — judged precisely here. An incoming
-// precise edge therefore starts a fresh segment, restoring exactly the
-// partition a fully precise online analysis (Velodrome) would have used.
-// Without this, a merged unary can manufacture a cycle that the singleton
-// ground truth does not have.
-type segState struct {
-	node  *txn.Txn
-	count int // entries replayed into node
-	idx   int // segment index (for deterministic synthetic IDs)
-}
-
 // Process replays one SCC and records any precise violations. It returns
 // the violations newly found in this SCC (already added to Violations).
+//
+// Replay runs over the Checker's dense scratch (see replay): SCC members,
+// cut unary segments, fields and threads are int32 indices, so the
+// per-entry work of Figure 5 does no map hashing and, once the scratch has
+// grown to the SCC's size, no allocation.
 func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
 	c.stats.SCCsProcessed++
 	c.stats.TxnsProcessed += uint64(len(scc))
@@ -287,13 +226,11 @@ func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
 	}
 	defer c.endReplaySpan(osp, ocost0)
 
-	inSCC := make(map[*txn.Txn]bool, len(scc))
-	for _, tx := range scc {
-		inSCC[tx] = true
-		// Shards (seenTxns nil) skip distinct accounting: per-shard sets
-		// would depend on which worker got which SCC, so the pool tracks
-		// distinct IDs at submission instead.
-		if c.seenTxns != nil {
+	// Shards (seenTxns nil) skip distinct accounting: per-shard sets would
+	// depend on which worker got which SCC, so the pool tracks distinct IDs
+	// at submission instead.
+	if c.seenTxns != nil {
+		for _, tx := range scc {
 			if _, ok := c.seenTxns[tx.ID]; !ok {
 				c.seenTxns[tx.ID] = struct{}{}
 				c.stats.DistinctTxns++
@@ -304,20 +241,19 @@ func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
 		}
 	}
 
-	var entries []entryRef
-	switch c.order {
-	case ByEdges:
-		entries = orderByEdges(scc, inSCC)
-	default:
-		entries = orderBySeq(scc)
+	if c.rs == nil {
+		c.rs = &replay{}
 	}
+	r := c.rs
+	r.load(scc, c.order)
+	defer r.release()
 
 	// Replay temporaries (the ordered entry list, the PDG, last-access
-	// maps) are real allocations made while every input log is still live;
-	// for a giant SCC — above all the PCD-only straw man's whole-execution
-	// replay — this heap spike is what drives GC cost and the paper's
-	// out-of-memory failures. The temporaries are released when Process
-	// returns.
+	// metadata) are real allocations made while every input log is still
+	// live; for a giant SCC — above all the PCD-only straw man's
+	// whole-execution replay — this heap spike is what drives GC cost and
+	// the paper's out-of-memory failures. The model releases them when
+	// Process returns.
 	c.tempBytes = 0
 	defer func() {
 		if c.meter != nil {
@@ -325,112 +261,80 @@ func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
 		}
 		c.tempBytes = 0
 	}()
-	c.tempAlloc(24 * int64(len(entries)))
-
-	g := newPDG()
-	segs := make(map[*txn.Txn]*segState, len(scc))
-	seg := func(tx *txn.Txn) *segState {
-		st := segs[tx]
-		if st == nil {
-			st = &segState{node: tx}
-			segs[tx] = st
-		}
-		return st
-	}
-	// threadChain tracks each thread's most recent replayed node, to add
-	// intra-thread program-order edges lazily (same-thread transactions
-	// never overlap, so replay order visits them sequentially).
-	threadChain := make(map[vm.ThreadID]*txn.Txn)
-
-	// Last-access information (Figure 5), holding segment nodes.
-	lastWrite := make(map[fieldKey]*txn.Txn)
-	lastReads := make(map[fieldKey]map[vm.ThreadID]*txn.Txn)
+	c.tempAlloc(24 * int64(len(r.refs)))
 
 	model := c.model()
 	var found []txn.Violation
-	for _, ref := range entries {
-		e := ref.tx.Log[ref.idx]
+	for _, ref := range r.refs {
+		m := &r.mem[ref.member]
+		tx := scc[ref.member]
+		e := &tx.Log[ref.idx]
 		c.stats.EntriesReplayed++
 		c.charge(model.PCDPerEntry)
-		key := fieldKey{obj: e.Obj, field: e.Field, sync: e.Sync}
-		st := seg(ref.tx)
+		fi := r.field(e)
+		f := &r.fields[fi]
+		tid := tx.Thread
 
 		// Will this entry receive a cross-thread edge?
-		incoming := false
-		if w := lastWrite[key]; w != nil && w.Thread != ref.tx.Thread {
-			incoming = true
-		}
+		incoming := f.write >= 0 && r.nodes[f.write].tid != tid
 		if e.Write && !incoming {
-			for t := range lastReads[key] {
-				if t != ref.tx.Thread {
+			for _, rd := range f.readers {
+				if rd.tid != tid {
 					incoming = true
 					break
 				}
 			}
 		}
-		if incoming && ref.tx.Unary && st.count > 0 {
+		if incoming && tx.Unary && m.count > 0 {
 			// Cut the merged unary: fresh segment node.
-			st.idx++
-			fresh := &txn.Txn{
-				ID:       ref.tx.ID<<16 | uint64(st.idx),
-				Thread:   ref.tx.Thread,
-				Method:   ref.tx.Method,
-				Unary:    true,
-				StartSeq: e.Seq,
-				Finished: true,
-			}
-			g.add(st.node, fresh, e.Seq)
-			st.node = fresh
-			st.count = 0
+			m.seg++
+			fresh := r.addNode(ref.member, m.seg, tid, e.Seq)
+			r.addEdge(m.cur, fresh, e.Seq)
+			m.cur = fresh
+			m.count = 0
 		}
-		cur := st.node
+		cur := m.cur
 
-		// Intra-thread program order.
-		if prev := threadChain[ref.tx.Thread]; prev != nil && prev != cur {
-			g.add(prev, cur, e.Seq)
+		// Intra-thread program order: same-thread transactions never
+		// overlap, so replay order visits them sequentially.
+		if last := r.threads[m.thread]; last >= 0 && last != cur {
+			r.addEdge(last, cur, e.Seq)
 		}
-		threadChain[ref.tx.Thread] = cur
+		r.threads[m.thread] = cur
 
+		if f.write >= 0 && r.nodes[f.write].tid != tid {
+			found = c.addPDGEdge(f.write, cur, e.Seq, found)
+		}
 		if e.Write {
-			if w := lastWrite[key]; w != nil && w.Thread != cur.Thread {
-				found = c.addPDGEdge(g, w, cur, e.Seq, found)
-			}
-			// Readers in thread order: a write racing several readers inserts
-			// its anti-dependence edges — and so detects cycles — in a fixed
-			// sequence, keeping replay deterministic (map iteration is not).
-			for _, t := range sortedThreads(lastReads[key]) {
-				if t != cur.Thread {
-					found = c.addPDGEdge(g, lastReads[key][t], cur, e.Seq, found)
+			// Readers are kept in thread order, so a write racing several
+			// readers inserts its anti-dependence edges — and so detects
+			// cycles — in a fixed sequence.
+			for _, rd := range f.readers {
+				if rd.tid != tid {
+					found = c.addPDGEdge(rd.node, cur, e.Seq, found)
 				}
 			}
-			lastWrite[key] = cur
-			delete(lastReads, key)
+			f.write = cur
+			f.readers = f.readers[:0]
 		} else {
-			if w := lastWrite[key]; w != nil && w.Thread != cur.Thread {
-				found = c.addPDGEdge(g, w, cur, e.Seq, found)
-			}
-			m := lastReads[key]
-			if m == nil {
-				m = make(map[vm.ThreadID]*txn.Txn)
-				lastReads[key] = m
-			}
-			m[cur.Thread] = cur
+			f.read(tid, cur)
 		}
-		st.count++
+		m.count++
 	}
 	if c.tel != nil {
-		c.tel.entries.Add(uint64(len(entries)))
+		c.tel.entries.Add(uint64(len(r.refs)))
 		// The live per-field metadata at end of replay: W(f) plus R(T,f)
 		// key sets — the heap spike §3.3's replay pays for.
-		c.tel.fieldMap.Observe(uint64(len(lastWrite) + len(lastReads)))
+		c.tel.fieldMap.Observe(r.fieldMapSize())
 	}
 	return found
 }
 
 // addPDGEdge inserts a precise dependence edge and checks for a cycle
 // through it.
-func (c *Checker) addPDGEdge(g *pdg, src, dst *txn.Txn, seq uint64, found []txn.Violation) []txn.Violation {
-	if !g.add(src, dst, seq) {
+func (c *Checker) addPDGEdge(src, dst int32, seq uint64, found []txn.Violation) []txn.Violation {
+	r := c.rs
+	if !r.addEdge(src, dst, seq) {
 		return found
 	}
 	c.stats.PDGEdges++
@@ -438,15 +342,14 @@ func (c *Checker) addPDGEdge(g *pdg, src, dst *txn.Txn, seq uint64, found []txn.
 		c.tel.edges.Inc()
 	}
 	c.tempAlloc(64)
-	c.charge(c.model().PCDPerEdge)
-	c.stats.CycleChecks++
 	model := c.model()
-	succ := func(t *txn.Txn) []*txn.Txn {
-		c.charge(model.PCDCycleNode)
-		return g.succs[t]
+	c.charge(model.PCDPerEdge)
+	c.stats.CycleChecks++
+	ok, visits := r.findPath(dst, src)
+	if c.meter != nil {
+		c.meter.ChargeN(model.PCDCycleNode, visits)
 	}
-	path := graph.FindPath(dst, src, succ)
-	if path == nil {
+	if !ok {
 		return found
 	}
 	c.stats.PreciseCycles++
@@ -454,24 +357,21 @@ func (c *Checker) addPDGEdge(g *pdg, src, dst *txn.Txn, seq uint64, found []txn.
 		c.tel.cycles.Inc()
 	}
 	if c.deferred {
-		n := len(path)
-		f := Find{Cycle: path, Seq: seq, Out: make([]uint64, n), OutOK: make([]bool, n)}
-		for i := range path {
-			f.Out[i], f.OutOK[i] = g.order(path[i], path[(i+1)%n])
-		}
-		c.finds = append(c.finds, f)
+		c.finds = append(c.finds, r.find(seq))
 		return found
 	}
-	key := cycleKey(path)
-	if c.seen[key] {
+	for _, n := range r.path {
+		c.cycles.add(r.id(n))
+	}
+	if !c.cycles.insert() {
 		return found
 	}
-	c.seen[key] = true
 	var blame telemetry.Span
 	if c.tel != nil {
 		blame = c.tel.reg.StartSpan(telemetry.SpanPCDBlame, c.meter)
 	}
-	v := txn.NewViolationWith(path, seq, g.order)
+	f := r.find(seq)
+	v := f.Violation()
 	blame.End()
 	c.violations = append(c.violations, v)
 	return append(found, v)
@@ -490,45 +390,486 @@ func (c *Checker) endReplaySpan(osp obs.Span, cost0 cost.Units) {
 	osp.End()
 }
 
-// sortedThreads returns a reader map's thread keys in ascending order.
-func sortedThreads(m map[vm.ThreadID]*txn.Txn) []vm.ThreadID {
-	if len(m) == 0 {
-		return nil
-	}
-	ts := make([]vm.ThreadID, 0, len(m))
-	for t := range m {
-		ts = append(ts, t)
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-	return ts
+// cycleSet deduplicates cycles by identity: their member IDs, sorted, as
+// fixed-width bytes. The key is built in reused buffers, so a repeat costs
+// no allocation; only a new cycle's key is copied into the set.
+type cycleSet struct {
+	seen map[string]bool
+	ids  []uint64
+	buf  []byte
 }
 
-// cycleKey builds a canonical identity for a cycle: its sorted member IDs.
-func cycleKey(cycle []*txn.Txn) string {
-	ids := make([]uint64, len(cycle))
-	for i, tx := range cycle {
-		ids[i] = tx.ID
+// add appends a member ID to the cycle being built.
+func (s *cycleSet) add(id uint64) { s.ids = append(s.ids, id) }
+
+// insert records the cycle whose IDs were added since the last insert and
+// reports whether it is new.
+func (s *cycleSet) insert() bool {
+	slices.Sort(s.ids)
+	s.buf = s.buf[:0]
+	for _, id := range s.ids {
+		s.buf = binary.BigEndian.AppendUint64(s.buf, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	key := ""
-	for _, id := range ids {
-		key += fmt.Sprintf("%d,", id)
+	s.ids = s.ids[:0]
+	if s.seen[string(s.buf)] {
+		return false
 	}
-	return key
+	if s.seen == nil {
+		s.seen = make(map[string]bool)
+	}
+	s.seen[string(s.buf)] = true
+	return true
 }
 
-// orderBySeq sorts all log entries of the SCC by the global access clock.
-func orderBySeq(scc []*txn.Txn) []entryRef {
-	var refs []entryRef
-	for _, tx := range scc {
-		for i := range tx.Log {
-			refs = append(refs, entryRef{tx, i})
+// replay is the dense scratch state of one Process call, owned by a
+// Checker (one per pool worker) and reused across calls. SCC members and
+// cut unary segments are PDG nodes; fields and threads are interned into
+// slices through one generation-stamped hash table.
+//
+// Invariants:
+//   - Cycle search (findPath) visits nodes in exactly graph.FindPath's
+//     order over successors kept in insertion order, so the same cycle is
+//     found and the same PCDCycleNode charges are made.
+//   - A field's readers stay sorted by thread ID, so a write adds its
+//     anti-dependence edges in thread order without sorting.
+//   - Reset is O(entries touched): slices are truncated and every slot is
+//     initialized when a replay first claims it, and the tables are
+//     emptied by bumping a generation and probe only a prefix sized for
+//     the current replay — never the capacity an earlier giant replay left
+//     behind.
+type replay struct {
+	scc      []*txn.Txn
+	refs     []ref
+	heap     []ref // mergeBySeq's member cursors
+	mem      []member
+	nodes    []node
+	fields   []field
+	threads  []int32 // each thread's most recent replayed node
+	intern   table   // (obj, field, sync) → fields; thread ID → threads
+	edges    table   // (src, dst) → edgeList
+	edgeList []edge
+	stack    []int32
+	path     []int32
+	dfsGen   uint32
+}
+
+// ref is one log entry in replay order: scc[member].Log[idx].
+type ref struct {
+	seq    uint64
+	member int32
+	idx    int32
+}
+
+// member is the replay state of one SCC transaction. Regular transactions
+// are a single PDG node. Unary transactions are re-split during replay:
+// ICD merged their accesses based on the imprecise IDG edges, but the
+// merging optimization is only valid between accesses uninterrupted by
+// edges — judged precisely here. An incoming precise edge therefore starts
+// a fresh segment, restoring exactly the partition a fully precise online
+// analysis (Velodrome) would have used. Without this, a merged unary can
+// manufacture a cycle that the singleton ground truth does not have.
+type member struct {
+	cur    int32 // current segment node
+	count  int32 // entries replayed into cur
+	seg    int32 // segment index (for deterministic synthetic IDs)
+	thread int32 // index into replay.threads
+}
+
+// node is one PDG node: a member (seg 0) or a cut segment of one.
+type node struct {
+	tx     *txn.Txn // a segment's transaction, built when a cycle needs it
+	member int32
+	seg    int32
+	tid    vm.ThreadID
+	start  uint64  // a segment's StartSeq
+	succ   []int32 // successors in edge-insertion order
+	seen   uint32  // findPath generation
+	parent int32   // findPath discovery parent
+}
+
+// field is Figure 5's last-access metadata for one field: W(f) and the
+// R(T,f) of each thread T, sorted by T.
+type field struct {
+	write   int32
+	readers []reader
+}
+
+type reader struct {
+	tid  vm.ThreadID
+	node int32
+}
+
+// read records node as thread tid's last reader of f.
+func (f *field) read(tid vm.ThreadID, n int32) {
+	rs := f.readers
+	i := 0
+	for i < len(rs) && rs[i].tid < tid {
+		i++
+	}
+	if i < len(rs) && rs[i].tid == tid {
+		rs[i].node = n
+		return
+	}
+	rs = append(rs, reader{})
+	copy(rs[i+1:], rs[i:])
+	rs[i] = reader{tid: tid, node: n}
+	f.readers = rs
+}
+
+type edge struct {
+	src, dst int32
+	order    uint64
+}
+
+// Interning keys: aux separates data fields, sync fields and threads.
+const (
+	auxData uint32 = iota
+	auxSync
+	auxThread
+)
+
+// extend grows s by one element, keeping whatever an earlier replay left in
+// that slot so its inner slices' capacity is reused.
+func extend[T any](s []T) ([]T, *T) {
+	if len(s) < cap(s) {
+		s = s[:len(s)+1]
+	} else {
+		var zero T
+		s = append(s, zero)
+	}
+	return s, &s[len(s)-1]
+}
+
+// load resets the scratch for scc and orders its log entries.
+func (r *replay) load(scc []*txn.Txn, order ReplayOrder) {
+	r.scc = scc
+	r.refs = r.refs[:0]
+	switch order {
+	case ByEdges:
+		r.refs = orderByEdges(scc, r.refs)
+	default:
+		r.mergeBySeq(scc)
+	}
+
+	r.intern.reset(len(r.refs) + len(scc))
+	r.edges.reset(len(r.refs) + len(scc))
+	r.edgeList = r.edgeList[:0]
+	r.fields = r.fields[:0]
+	r.threads = r.threads[:0]
+	r.mem = r.mem[:0]
+	r.nodes = r.nodes[:0]
+	for i, tx := range scc {
+		ti, ok := r.intern.lookup(uint64(uint32(tx.Thread)), auxThread)
+		if !ok {
+			*ti = int32(len(r.threads))
+			r.threads = append(r.threads, -1)
+		}
+		r.mem = append(r.mem, member{cur: int32(i), thread: *ti})
+		r.addNode(int32(i), 0, tx.Thread, 0)
+	}
+}
+
+// mergeBySeq appends every log entry of scc in global access-clock order.
+// Each member's Log is Seq-ascending (entries are recorded in clock order)
+// and Seqs are unique, so a k-way merge over the logs — a min-heap of one
+// cursor per member — yields exactly the order a sort would.
+func (r *replay) mergeBySeq(scc []*txn.Txn) {
+	h := r.heap[:0]
+	for i, tx := range scc {
+		if len(tx.Log) > 0 {
+			h = append(h, ref{seq: tx.Log[0].Seq, member: int32(i)})
 		}
 	}
-	sort.Slice(refs, func(i, j int) bool {
-		return refs[i].tx.Log[refs[i].idx].Seq < refs[j].tx.Log[refs[j].idx].Seq
-	})
-	return refs
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for len(h) > 0 {
+		top := h[0]
+		r.refs = append(r.refs, top)
+		if log := scc[top.member].Log; int(top.idx)+1 < len(log) {
+			h[0] = ref{seq: log[top.idx+1].Seq, member: top.member, idx: top.idx + 1}
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+	r.heap = h
+}
+
+// siftDown restores the min-heap order on seq below h[i].
+func siftDown(h []ref, i int) {
+	for {
+		least, l := i, 2*i+1
+		if l < len(h) && h[l].seq < h[least].seq {
+			least = l
+		}
+		if l+1 < len(h) && h[l+1].seq < h[least].seq {
+			least = l + 1
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+}
+
+// release drops the scratch's references into the replayed transactions so
+// they do not outlive the replay.
+func (r *replay) release() {
+	r.scc = nil
+	for i := range r.nodes {
+		r.nodes[i].tx = nil
+	}
+}
+
+// field interns e's (object, field, sync) key.
+func (r *replay) field(e *txn.LogEntry) int32 {
+	aux := auxData
+	if e.Sync {
+		aux = auxSync
+	}
+	v, ok := r.intern.lookup(uint64(uint32(e.Obj))<<32|uint64(uint32(e.Field)), aux)
+	if !ok {
+		*v = int32(len(r.fields))
+		var f *field
+		r.fields, f = extend(r.fields)
+		f.write = -1
+		f.readers = f.readers[:0]
+	}
+	return *v
+}
+
+// fieldMapSize is the live per-field metadata count the pcd.field_map
+// histogram reports: fields with a W(f) plus fields with a non-empty R(·,f).
+func (r *replay) fieldMapSize() uint64 {
+	var n uint64
+	for i := range r.fields {
+		if r.fields[i].write >= 0 {
+			n++
+		}
+		if len(r.fields[i].readers) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func (r *replay) addNode(mem, seg int32, tid vm.ThreadID, start uint64) int32 {
+	var n *node
+	r.nodes, n = extend(r.nodes)
+	n.tx, n.member, n.seg, n.tid, n.start = nil, mem, seg, tid, start
+	n.succ = n.succ[:0]
+	return int32(len(r.nodes) - 1)
+}
+
+// id is node n's transaction ID; a segment's is synthesized from its
+// member's so cycle identities are deterministic.
+func (r *replay) id(n int32) uint64 {
+	nd := &r.nodes[n]
+	base := r.scc[nd.member].ID
+	if nd.seg == 0 {
+		return base
+	}
+	return base<<16 | uint64(nd.seg)
+}
+
+// tx returns node n's transaction, building a segment's on first use.
+func (r *replay) tx(n int32) *txn.Txn {
+	nd := &r.nodes[n]
+	base := r.scc[nd.member]
+	if nd.seg == 0 {
+		return base
+	}
+	if nd.tx == nil {
+		nd.tx = &txn.Txn{
+			ID:       r.id(n),
+			Thread:   base.Thread,
+			Method:   base.Method,
+			Unary:    true,
+			StartSeq: nd.start,
+			Finished: true,
+		}
+	}
+	return nd.tx
+}
+
+func edgeKey(src, dst int32) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
+
+// addEdge inserts a PDG edge with the given order if absent; reports
+// whether it was new.
+func (r *replay) addEdge(src, dst int32, order uint64) bool {
+	if src == dst {
+		return false
+	}
+	if r.edges.full() {
+		r.edges.resize(2 * r.edges.size())
+		for i, e := range r.edgeList {
+			v, _ := r.edges.lookup(edgeKey(e.src, e.dst), 0)
+			*v = int32(i)
+		}
+	}
+	v, ok := r.edges.lookup(edgeKey(src, dst), 0)
+	if ok {
+		return false
+	}
+	*v = int32(len(r.edgeList))
+	r.edgeList = append(r.edgeList, edge{src: src, dst: dst, order: order})
+	r.nodes[src].succ = append(r.nodes[src].succ, dst)
+	return true
+}
+
+func (r *replay) order(src, dst int32) (uint64, bool) {
+	i, ok := r.edges.get(edgeKey(src, dst), 0)
+	if !ok {
+		return 0, false
+	}
+	return r.edgeList[i].order, true
+}
+
+// findPath is graph.FindPath over node indices, with generation-stamped
+// seen/parent marks: a depth-first search from `from` for `to` that leaves
+// the path, from first, in r.path. It returns whether `to` was reached and
+// how many successor lists it read (the PCDCycleNode charges).
+func (r *replay) findPath(from, to int32) (bool, int64) {
+	r.dfsGen++
+	if r.dfsGen == 0 {
+		all := r.nodes[:cap(r.nodes)]
+		for i := range all {
+			all[i].seen = 0
+		}
+		r.dfsGen = 1
+	}
+	gen, nodes, stack := r.dfsGen, r.nodes, r.stack[:0]
+	visits := int64(1)
+	for _, s := range nodes[from].succ {
+		if nodes[s].seen != gen {
+			nodes[s].seen, nodes[s].parent = gen, from
+			stack = append(stack, s)
+		}
+	}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if n == to {
+			path := append(r.path[:0], n)
+			for n != from {
+				n = nodes[n].parent
+				path = append(path, n)
+			}
+			slices.Reverse(path)
+			r.path, r.stack = path, stack
+			return true, visits
+		}
+		visits++
+		for _, s := range nodes[n].succ {
+			if nodes[s].seen != gen {
+				nodes[s].seen, nodes[s].parent = gen, n
+				stack = append(stack, s)
+			}
+		}
+	}
+	r.stack = stack
+	return false, visits
+}
+
+// find captures the cycle in r.path as a Find: its transactions and the
+// orders of the PDG edges between adjacent members.
+func (r *replay) find(seq uint64) Find {
+	n := len(r.path)
+	f := Find{Cycle: make([]*txn.Txn, n), Seq: seq, Out: make([]uint64, n), OutOK: make([]bool, n)}
+	for i, nd := range r.path {
+		f.Cycle[i] = r.tx(nd)
+		f.Out[i], f.OutOK[i] = r.order(nd, r.path[(i+1)%n])
+	}
+	return f
+}
+
+// table is an open-addressing hash table from (key, aux) to an int32. A
+// replay uses only a power-of-two prefix of slots sized for it, and reset
+// empties that prefix in O(1) by bumping the generation: a slot whose gen
+// differs is free.
+type table struct {
+	slots []slot
+	mask  uint64
+	gen   uint32
+	n     int
+}
+
+type slot struct {
+	key uint64
+	aux uint32
+	gen uint32
+	val int32
+}
+
+// reset empties the table for a replay expected to hold up to want keys.
+func (t *table) reset(want int) {
+	size := 16
+	for size < 2*want {
+		size <<= 1
+	}
+	t.resize(size)
+}
+
+// resize empties the table and sets its probed prefix to size slots.
+func (t *table) resize(size int) {
+	if size > len(t.slots) {
+		t.slots = make([]slot, size)
+		t.gen = 0
+	}
+	t.gen++
+	if t.gen == 0 {
+		clear(t.slots)
+		t.gen = 1
+	}
+	t.mask = uint64(size - 1)
+	t.n = 0
+}
+
+func (t *table) size() int { return int(t.mask + 1) }
+
+// full reports whether one more key would push the load past one half.
+func (t *table) full() bool { return 2*(t.n+1) > t.size() }
+
+func hashKey(key uint64, aux uint32) uint64 {
+	x := key ^ uint64(aux)<<62
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// lookup returns the value cell of (key, aux), claiming a free slot when
+// the key is absent; ok reports whether it was present. The caller keeps
+// the load at most one half.
+func (t *table) lookup(key uint64, aux uint32) (v *int32, ok bool) {
+	for i := hashKey(key, aux) & t.mask; ; i = (i + 1) & t.mask {
+		s := &t.slots[i]
+		if s.gen != t.gen {
+			s.key, s.aux, s.gen = key, aux, t.gen
+			t.n++
+			return &s.val, false
+		}
+		if s.key == key && s.aux == aux {
+			return &s.val, true
+		}
+	}
+}
+
+// get returns the value of (key, aux) without claiming a slot.
+func (t *table) get(key uint64, aux uint32) (int32, bool) {
+	for i := hashKey(key, aux) & t.mask; ; i = (i + 1) & t.mask {
+		s := &t.slots[i]
+		if s.gen != t.gen {
+			return 0, false
+		}
+		if s.key == key && s.aux == aux {
+			return s.val, true
+		}
+	}
 }
 
 // orderByEdges reconstructs a replay order from the §3.2.4 machinery: each
@@ -550,8 +891,12 @@ func orderBySeq(scc []*txn.Txn) []entryRef {
 // time, say) — so ordering anchors are pulled transitively through the
 // recorded edge structure: every mark names its peer transaction, whose own
 // marks are further evidence. Entries after a thread's last anchor follow
-// in a deterministic tail.
-func orderByEdges(scc []*txn.Txn, inSCC map[*txn.Txn]bool) []entryRef {
+// in a deterministic tail. The entries are appended to refs.
+func orderByEdges(scc []*txn.Txn, refs []ref) []ref {
+	memberOf := make(map[*txn.Txn]int32, len(scc))
+	for i, tx := range scc {
+		memberOf[tx] = int32(i)
+	}
 	// Pull the anchor set: SCC transactions plus everything reachable
 	// through mark peers (bounded — real chains are short; the cap only
 	// guards pathological graphs).
@@ -589,7 +934,6 @@ func orderByEdges(scc []*txn.Txn, inSCC map[*txn.Txn]bool) []entryRef {
 	}
 
 	emitted := make(map[*txn.Txn]int, len(scc))
-	var refs []entryRef
 
 	// flushTo emits tx's entries with index < cut (and first, everything in
 	// tx's same-thread SCC predecessors).
@@ -599,7 +943,7 @@ func orderByEdges(scc []*txn.Txn, inSCC map[*txn.Txn]bool) []entryRef {
 			flushTo(prev, len(prev.Log))
 		}
 		for i := emitted[tx]; i < cut; i++ {
-			refs = append(refs, entryRef{tx, i})
+			refs = append(refs, ref{seq: tx.Log[i].Seq, member: memberOf[tx], idx: int32(i)})
 		}
 		if cut > emitted[tx] {
 			emitted[tx] = cut
@@ -631,7 +975,7 @@ func orderByEdges(scc []*txn.Txn, inSCC map[*txn.Txn]bool) []entryRef {
 	var marks []gmark
 	for tx := range anchors {
 		li := 0
-		member := inSCC[tx]
+		_, member := memberOf[tx]
 		for _, mk := range tx.Marks {
 			cut := 0
 			if member {
@@ -657,7 +1001,7 @@ func orderByEdges(scc []*txn.Txn, inSCC map[*txn.Txn]bool) []entryRef {
 	})
 	for _, m := range marks {
 		flushThreadBefore(m.tx.Thread, m.tx.ID)
-		if inSCC[m.tx] {
+		if _, member := memberOf[m.tx]; member {
 			flushTo(m.tx, m.cut)
 		}
 	}

@@ -224,9 +224,12 @@ func (p *Pool) Submit(scc []*txn.Txn) {
 
 // worker consumes jobs until the channel closes. After an abort it keeps
 // draining, discarding jobs without replaying them, so a blocked Submit and
-// queued snapshots are always released.
+// queued snapshots are always released. Its one shard, and so its replay
+// scratch, is reused for every job it runs.
 func (p *Pool) worker(id int) {
 	defer p.wg.Done()
+	sh := NewShard(nil, p.cfg.Order)
+	sh.SetTelemetry(p.reg)
 	for job := range p.jobs {
 		p.queued.Add(-1)
 		if p.aborted.Load() {
@@ -238,15 +241,17 @@ func (p *Pool) worker(id int) {
 			}
 			continue
 		}
-		res := p.runJob(id, job)
+		res := p.runJob(id, sh, job)
 		p.mu.Lock()
 		p.results = append(p.results, res)
 		p.mu.Unlock()
 	}
 }
 
-// runJob replays one SCC on a fresh shard, quarantining panics to the job.
-func (p *Pool) runJob(worker int, job poolJob) (res jobResult) {
+// runJob replays one SCC on the worker's shard, quarantining panics to the
+// job. The shard's per-job results start empty; a panicked replay leaves
+// only scratch behind, which the next Process resets.
+func (p *Pool) runJob(worker int, sh *Checker, job poolJob) (res jobResult) {
 	res.index = job.index
 	var span telemetry.Span
 	if p.reg != nil {
@@ -285,10 +290,7 @@ func (p *Pool) runJob(worker int, job poolJob) (res jobResult) {
 			meter.SetBudget(p.cfg.Budget)
 		}
 	}
-	sh := NewShard(meter, p.cfg.Order)
-	if p.reg != nil {
-		sh.SetTelemetry(p.reg)
-	}
+	sh.meter, sh.stats, sh.finds = meter, Stats{}, nil
 	sh.Process(job.scc)
 	res.finds = sh.TakeFinds()
 	res.stats = sh.Stats()
@@ -344,7 +346,7 @@ func (p *Pool) merge() *Merged {
 
 	m := &Merged{Dropped: dropped}
 	m.Stats.DistinctTxns = uint64(len(p.distinct))
-	seen := make(map[string]bool)
+	var cycles cycleSet
 	for _, r := range results {
 		if r.quar != nil {
 			m.Quarantined = append(m.Quarantined, *r.quar)
@@ -365,11 +367,12 @@ func (p *Pool) merge() *Merged {
 		}
 		m.OffCritical.OOM = m.OffCritical.OOM || r.report.OOM
 		for _, f := range r.finds {
-			key := cycleKey(f.Cycle)
-			if seen[key] {
+			for _, tx := range f.Cycle {
+				cycles.add(tx.ID)
+			}
+			if !cycles.insert() {
 				continue
 			}
-			seen[key] = true
 			var blame telemetry.Span
 			if p.reg != nil {
 				blame = p.reg.StartSpan(telemetry.SpanPCDBlame, nil)
