@@ -4,7 +4,6 @@
 package cli
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -22,7 +21,6 @@ import (
 	"doublechecker/internal/store"
 	"doublechecker/internal/supervise"
 	"doublechecker/internal/telemetry"
-	"doublechecker/internal/trace"
 	"doublechecker/internal/vm"
 )
 
@@ -330,70 +328,27 @@ func runDCheckReplay(ctx context.Context, o dcheckOpts, reg *telemetry.Registry,
 	if err != nil {
 		return err
 	}
-	if o.cacheDir == "" {
-		d, err := trace.ReadFile(o.path)
-		if err != nil {
+	// The one-shot store skips the memory tier (this process serves no
+	// second request) and keeps its own counters out of the run's telemetry
+	// snapshot.
+	var cache *store.Store
+	if o.cacheDir != "" {
+		if cache, err = store.Open(store.Config{Dir: o.cacheDir}); err != nil {
 			return err
 		}
-		res, err := core.RunTrace(ctx, d, core.Config{Analysis: analysis, Telemetry: reg, PCDWorkers: o.pcdWorkers, ICDEngine: o.icdEngine})
-		if err != nil {
-			return err
-		}
-		io.WriteString(stdout, core.ReplayReport(o.path, d, res))
-		if o.statsJSON {
-			stdout.Write(res.Telemetry.Deterministic().JSON())
-		}
+	}
+	r, err := replayTrace(ctx, o.path, core.Config{Analysis: analysis, Telemetry: reg, PCDWorkers: o.pcdWorkers, ICDEngine: o.icdEngine}, cache, o.statsJSON)
+	if err != nil {
+		return err
+	}
+	if e := r.hit; e != nil {
+		io.WriteString(stdout, core.ReplayReportFrom(
+			o.path, e.Program, e.Key.Seed, e.Events, e.Key.Source, e.Violations, e.Blamed))
 		return nil
 	}
-
-	// Cached replay is byte-addressed: the file is read once, the header
-	// plus a raw-byte digest form the key, and the full decode only happens
-	// on a miss. The one-shot store skips the memory tier (this process
-	// serves no second request) and keeps its own counters out of the run's
-	// telemetry snapshot.
-	raw, err := os.ReadFile(o.path)
-	if err != nil {
-		return err
-	}
-	hdr, rest, err := trace.PeekHeader(bytes.NewReader(raw))
-	if err != nil {
-		return fmt.Errorf("%s: %w", o.path, err)
-	}
-	cache, err := store.Open(store.Config{Dir: o.cacheDir})
-	if err != nil {
-		return err
-	}
-	key := store.TraceKey(hdr, store.BodyDigest(raw), o.analysis)
-	// -stats-json reports the metrics of an actual run; a cache hit has
-	// none, so the lookup is skipped and the run's result is still stored.
-	if !o.statsJSON {
-		if e, ok := cache.Get(key); ok {
-			io.WriteString(stdout, core.ReplayReportFrom(
-				o.path, e.Program, e.Key.Seed, e.Events, e.Key.Source, e.Violations, e.Blamed))
-			return nil
-		}
-	}
-	d, err := trace.Read(rest)
-	if err != nil {
-		return fmt.Errorf("%s: %w", o.path, err)
-	}
-	res, err := core.RunTrace(ctx, d, core.Config{Analysis: analysis, Telemetry: reg, PCDWorkers: o.pcdWorkers, ICDEngine: o.icdEngine})
-	if err != nil {
-		return err
-	}
-	if len(res.PCDQuarantined) == 0 {
-		if err := cache.Put(key, &store.Entry{
-			Program:    d.Header.Program.Name,
-			Events:     d.Counts.Total(),
-			Violations: len(res.Violations),
-			Blamed:     res.BlamedMethodNames(d.Header.Program),
-		}); err != nil {
-			return err
-		}
-	}
-	io.WriteString(stdout, core.ReplayReport(o.path, d, res))
+	io.WriteString(stdout, core.ReplayReport(o.path, r.data, r.res))
 	if o.statsJSON {
-		stdout.Write(res.Telemetry.Deterministic().JSON())
+		stdout.Write(r.res.Telemetry.Deterministic().JSON())
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package cli
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -487,59 +486,17 @@ func dctraceReplay(ctx context.Context, args []string, stdout, stderr io.Writer)
 			sp, ctx := obs.StartSpan(ctx, "dctrace.trace")
 			sp.SetStr("path", path)
 			defer sp.End()
-			if cache == nil {
-				d, err := trace.ReadFile(path)
-				if err != nil {
-					return "", false, err
-				}
-				res, err := core.RunTrace(ctx, d, core.Config{Analysis: analysis, PCDWorkers: *pcdWorkers})
-				if err != nil {
-					return "", false, err
-				}
-				var b strings.Builder
-				b.WriteString(replayLine(path, len(res.Violations), res.BlamedMethodNames(d.Header.Program)))
-				if *statsJSON {
-					b.Write(res.Telemetry.Deterministic().JSON())
-				}
-				return b.String(), false, nil
-			}
-
-			raw, err := os.ReadFile(path)
+			r, err := replayTrace(ctx, path, core.Config{Analysis: analysis, PCDWorkers: *pcdWorkers}, cache, *statsJSON)
 			if err != nil {
 				return "", false, err
 			}
-			hdr, rest, err := trace.PeekHeader(bytes.NewReader(raw))
-			if err != nil {
-				return "", false, fmt.Errorf("%s: %w", path, err)
-			}
-			key := store.TraceKey(hdr, store.BodyDigest(raw), *analysisName)
-			if !*statsJSON {
-				if e, ok := cache.Get(key); ok {
-					return replayLine(path, e.Violations, e.Blamed), false, nil
-				}
-			}
-			d, err := trace.Read(rest)
-			if err != nil {
-				return "", false, fmt.Errorf("%s: %w", path, err)
-			}
-			res, err := core.RunTrace(ctx, d, core.Config{Analysis: analysis, PCDWorkers: *pcdWorkers})
-			if err != nil {
-				return "", false, err
-			}
-			if len(res.PCDQuarantined) == 0 {
-				if err := cache.Put(key, &store.Entry{
-					Program:    d.Header.Program.Name,
-					Events:     d.Counts.Total(),
-					Violations: len(res.Violations),
-					Blamed:     res.BlamedMethodNames(d.Header.Program),
-				}); err != nil {
-					return "", false, err
-				}
+			if r.hit != nil {
+				return replayLine(path, r.hit.Violations, r.hit.Blamed), false, nil
 			}
 			var b strings.Builder
-			b.WriteString(replayLine(path, len(res.Violations), res.BlamedMethodNames(d.Header.Program)))
+			b.WriteString(replayLine(path, len(r.res.Violations), r.res.BlamedMethodNames(r.data.Header.Program)))
 			if *statsJSON {
-				b.Write(res.Telemetry.Deterministic().JSON())
+				b.Write(r.res.Telemetry.Deterministic().JSON())
 			}
 			return b.String(), false, nil
 		}, stdout, logger)

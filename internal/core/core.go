@@ -137,10 +137,6 @@ type Config struct {
 	// SCC like a checker panic. It is the pool-side deterministic
 	// fault-injection seam, WrapInst's counterpart.
 	PCDPoolHook func(index uint64, scc []*txn.Txn)
-	// VelodromeIncremental selects the Pearce–Kelly incremental cycle
-	// engine for Velodrome analyses (an extension beyond the paper; exact
-	// same findings, less graph work).
-	VelodromeIncremental bool
 	// ICDEngine selects ICD's deferred-detection engine. The zero value is
 	// icd.EngineIncremental (the amortized condensation); icd.EngineScan
 	// keeps the full per-finish walk for ablation. Findings and reports are
@@ -233,6 +229,26 @@ func RunContext(ctx context.Context, prog *vm.Program, cfg Config) (*Result, err
 	if sched == nil {
 		sched = vm.NewRandom(cfg.Seed)
 	}
+	return run(ctx, prog, cfg, func(ctx context.Context, inst vm.Instrumentation, execute telemetry.Span) (vm.Stats, error) {
+		stats, err := vm.NewExec(prog, vm.Config{
+			Sched:    sched,
+			Inst:     inst,
+			Atomic:   cfg.Atomic,
+			Meter:    cfg.Meter,
+			MaxSteps: cfg.MaxSteps,
+		}).RunContext(ctx)
+		execute.SetInt("vm.steps", int64(stats.Steps))
+		return *stats, err
+	})
+}
+
+// run is the one driver behind RunContext (events from the VM) and RunTrace
+// (events from a recorded trace): it builds the analysis cfg selects, lets
+// events drive it inside the execute span, then collects the findings and
+// finishes the result. events returns the execution's VM statistics; on its
+// error the analysis is aborted and the partial result returned.
+func run(ctx context.Context, prog *vm.Program, cfg Config,
+	events func(ctx context.Context, inst vm.Instrumentation, execute telemetry.Span) (vm.Stats, error)) (*Result, error) {
 	if cfg.Meter != nil && cfg.MemoryBudget > 0 {
 		cfg.Meter.SetBudget(cfg.MemoryBudget)
 	}
@@ -249,37 +265,13 @@ func RunContext(ctx context.Context, prog *vm.Program, cfg Config) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-
 	if cfg.WrapInst != nil {
 		inst = cfg.WrapInst(inst)
 	}
-	span := cfg.Telemetry.StartSpan(telemetry.SpanExecute, cfg.Meter)
-	execSpan, _ := obs.StartSpan(ctx, telemetry.SpanExecute)
-	var execCost0 cost.Units
-	if execSpan.Live() && cfg.Meter != nil {
-		execCost0 = cfg.Meter.Total()
-	}
-	stats, err := vm.NewExec(prog, vm.Config{
-		Sched:    sched,
-		Inst:     inst,
-		Atomic:   cfg.Atomic,
-		Meter:    cfg.Meter,
-		MaxSteps: cfg.MaxSteps,
-	}).RunContext(ctx)
-	span.End()
-	if execSpan.Live() {
-		if stats != nil {
-			execSpan.SetInt("vm.steps", int64(stats.Steps))
-			execSpan.SetInt("vm.tx.ends", int64(stats.TxEnds))
-		}
-		if cfg.Meter != nil {
-			execSpan.SetInt("cost_units", int64(cfg.Meter.Total()-execCost0))
-		}
-	}
-	execSpan.End()
-	if stats != nil {
-		res.VMStats = *stats
-	}
+	execute := cfg.Telemetry.StartSpan(runSpan, telemetry.SpanExecute, cfg.Meter)
+	res.VMStats, err = events(ctx, inst, execute)
+	execute.SetInt("vm.tx.ends", int64(res.VMStats.TxEnds))
+	execute.End()
 	if err != nil {
 		abort()
 		res.Telemetry = cfg.Telemetry.Snapshot()
@@ -346,9 +338,8 @@ func publishRunTelemetry(reg *telemetry.Registry, res *Result, metered bool) {
 // instrumentation plus a collect closure that harvests its findings into
 // res once the event stream ends, and an abort closure the error path must
 // call so background resources (the PCD worker pool) never outlive a failed
-// run. It is shared by the live execution path (RunContext) and the trace
-// replay path (RunTrace): both drive the same instrumentation, one from a
-// VM, one from a file. ctx bounds collect-time draining of the pool.
+// run. run calls it for both event sources, the VM and a recorded trace.
+// ctx bounds collect-time draining of the pool.
 func buildAnalysis(ctx context.Context, prog *vm.Program, cfg Config, res *Result) (vm.Instrumentation, func(), func(), error) {
 	var inst vm.Instrumentation
 	var collect func()
@@ -366,12 +357,11 @@ func buildAnalysis(ctx context.Context, prog *vm.Program, cfg Config, res *Resul
 
 	case Velodrome, VelodromeUnsound, VeloSecond:
 		opts := velodrome.Options{
-			Unsound:           cfg.Analysis == VelodromeUnsound,
-			InstrumentArrays:  cfg.InstrumentArrays,
-			GCPeriod:          cfg.GCPeriod,
-			IncrementalCycles: cfg.VelodromeIncremental,
-			Telemetry:         cfg.Telemetry,
-			TraceSpan:         tspan,
+			Unsound:          cfg.Analysis == VelodromeUnsound,
+			InstrumentArrays: cfg.InstrumentArrays,
+			GCPeriod:         cfg.GCPeriod,
+			Telemetry:        cfg.Telemetry,
+			TraceSpan:        tspan,
 		}
 		if cfg.InstrumentArrays || cfg.DisableCycleDetection {
 			opts.DisableCycleDetection = true

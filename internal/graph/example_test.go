@@ -6,21 +6,6 @@ import (
 	"doublechecker/internal/graph"
 )
 
-// ExampleIncrementalDAG shows online cycle detection: consistent edges are
-// accepted, the closing edge is reported and rejected.
-func ExampleIncrementalDAG() {
-	d := graph.NewIncrementalDAG[string]()
-	fmt.Println(d.AddEdge("a", "b"))
-	fmt.Println(d.AddEdge("b", "c"))
-	fmt.Println(d.AddEdge("c", "a")) // closes a cycle
-	fmt.Println(d.AddEdge("a", "c")) // still fine: the cycle edge was rejected
-	// Output:
-	// false
-	// false
-	// true
-	// false
-}
-
 // ExampleSCCFrom computes the strongly connected component of a node, the
 // operation ICD performs when a transaction finishes.
 func ExampleSCCFrom() {

@@ -93,8 +93,9 @@ func (c *Checker) SetTelemetry(reg *telemetry.Registry) {
 	c.tel = newTel(reg)
 }
 
-// SetTraceSpan attaches a request-scoped parent span: Process then opens a
-// pcd.replay obs child per SCC. The zero Span (the default) disables them.
+// SetTraceSpan attaches a request-scoped trace parent: each SCC's
+// pcd.replay span then also appears in the trace tree. The zero Span (the
+// default) keeps them registry-only.
 func (c *Checker) SetTraceSpan(sp obs.Span) { c.tspan = sp }
 
 // newTel resolves the full PCD handle set eagerly. The pool calls it too
@@ -112,6 +113,14 @@ func newTel(reg *telemetry.Registry) *tel {
 		cycles:   reg.Counter(telemetry.PCDCycles),
 		fieldMap: reg.Histogram(telemetry.PCDFieldMap, telemetry.MapSizeBuckets),
 	}
+}
+
+// registry returns the attached registry, nil when there is none.
+func (t *tel) registry() *telemetry.Registry {
+	if t == nil {
+		return nil
+	}
+	return t.reg
 }
 
 // tempAlloc meters a replay-temporary allocation.
@@ -209,22 +218,13 @@ func (c *Checker) model() cost.Model {
 func (c *Checker) Process(scc []*txn.Txn) []txn.Violation {
 	c.stats.SCCsProcessed++
 	c.stats.TxnsProcessed += uint64(len(scc))
-	var span telemetry.Span
+	span := c.tel.registry().StartSpan(c.tspan, telemetry.SpanPCDReplay, c.meter)
+	defer span.End()
+	span.SetInt("scc_txns", int64(len(scc)))
 	if c.tel != nil {
-		span = c.tel.reg.StartSpan(telemetry.SpanPCDReplay, c.meter)
-		defer span.End()
 		c.tel.sccs.Inc()
 		c.tel.txns.Add(uint64(len(scc)))
 	}
-	osp := c.tspan.Child(telemetry.SpanPCDReplay)
-	var ocost0 cost.Units
-	if osp.Live() {
-		osp.SetInt("scc_txns", int64(len(scc)))
-		if c.meter != nil {
-			ocost0 = c.meter.Total()
-		}
-	}
-	defer c.endReplaySpan(osp, ocost0)
 
 	// Shards (seenTxns nil) skip distinct accounting: per-shard sets would
 	// depend on which worker got which SCC, so the pool tracks distinct IDs
@@ -366,28 +366,12 @@ func (c *Checker) addPDGEdge(src, dst int32, seq uint64, found []txn.Violation) 
 	if !c.cycles.insert() {
 		return found
 	}
-	var blame telemetry.Span
-	if c.tel != nil {
-		blame = c.tel.reg.StartSpan(telemetry.SpanPCDBlame, c.meter)
-	}
+	blame := c.tel.registry().StartSpan(obs.Span{}, telemetry.SpanPCDBlame, c.meter)
 	f := r.find(seq)
 	v := f.Violation()
 	blame.End()
 	c.violations = append(c.violations, v)
 	return append(found, v)
-}
-
-// endReplaySpan closes a pcd.replay obs span, charging the meter's cost
-// delta since cost0 as an attribute; open-coded as a method defer so the
-// disabled path stays allocation-free.
-func (c *Checker) endReplaySpan(osp obs.Span, cost0 cost.Units) {
-	if !osp.Live() {
-		return
-	}
-	if c.meter != nil {
-		osp.SetInt("cost_units", int64(c.meter.Total()-cost0))
-	}
-	osp.End()
 }
 
 // cycleSet deduplicates cycles by identity: their member IDs, sorted, as

@@ -65,10 +65,10 @@ type PoolConfig struct {
 	// panic in it is quarantined exactly like a checker panic. It is the
 	// pool's deterministic fault-injection seam (compare core.Config.WrapInst).
 	Hook func(index uint64, scc []*txn.Txn)
-	// TraceSpan is the request-scoped parent for the pool's obs spans: the
-	// VM-thread hand-off and the per-worker replays. The zero Span — the
-	// default — disables them; the resulting timeline is what makes the
-	// off-critical-path claim visible per request.
+	// TraceSpan is the request-scoped trace parent of the pool's phase
+	// spans: the VM-thread hand-off and the per-worker replays. The zero
+	// Span — the default — keeps them registry-only; the traced timeline is
+	// what makes the off-critical-path claim visible per request.
 	TraceSpan obs.Span
 }
 
@@ -185,16 +185,10 @@ func NewPool(cfg PoolConfig) *Pool {
 // point. It runs on the VM thread, snapshots the SCC before publishing, and
 // blocks when the queue is full.
 func (p *Pool) Submit(scc []*txn.Txn) {
-	var span telemetry.Span
-	if p.reg != nil {
-		span = p.reg.StartSpan(telemetry.SpanPCDHandoff, p.cfg.MainMeter)
-	}
-	osp := p.cfg.TraceSpan.Child(telemetry.SpanPCDHandoff)
+	span := p.reg.StartSpan(p.cfg.TraceSpan, telemetry.SpanPCDHandoff, p.cfg.MainMeter)
 	clone, entries := snapshotSCC(scc)
-	if osp.Live() {
-		osp.SetInt("entries", int64(entries))
-		osp.SetInt("scc_txns", int64(len(scc)))
-	}
+	span.SetInt("entries", int64(entries))
+	span.SetInt("scc_txns", int64(len(scc)))
 	if p.cfg.MainMeter != nil {
 		p.cfg.MainMeter.ChargeN(p.cfg.MainMeter.Model().PCDHandoffPerEntry, int64(entries))
 	}
@@ -218,7 +212,6 @@ func (p *Pool) Submit(scc []*txn.Txn) {
 		}
 	}
 	span.End()
-	osp.End()
 	p.jobs <- job
 }
 
@@ -253,19 +246,12 @@ func (p *Pool) worker(id int) {
 // only scratch behind, which the next Process resets.
 func (p *Pool) runJob(worker int, sh *Checker, job poolJob) (res jobResult) {
 	res.index = job.index
-	var span telemetry.Span
-	if p.reg != nil {
-		span = p.reg.StartSpan(telemetry.SpanPCDPoolWorker+strconv.Itoa(worker), nil)
-		defer span.End()
-	}
-	osp := p.cfg.TraceSpan.Child(telemetry.SpanPCDPoolWorker + strconv.Itoa(worker))
-	if osp.Live() {
-		osp.SetInt("index", int64(job.index))
-		osp.SetInt("scc_txns", int64(len(job.scc)))
-	}
+	span := p.reg.StartSpan(p.cfg.TraceSpan, telemetry.SpanPCDPoolWorker+strconv.Itoa(worker), nil)
+	span.SetInt("index", int64(job.index))
+	span.SetInt("scc_txns", int64(len(job.scc)))
 	// Registered before the recover below (LIFO), so the span closes even
 	// when the replay panics into quarantine.
-	defer osp.End()
+	defer span.End()
 	defer func() {
 		if r := recover(); r != nil {
 			res.quar = &Quarantine{
@@ -274,7 +260,7 @@ func (p *Pool) runJob(worker int, sh *Checker, job poolJob) (res jobResult) {
 				Err:    fmt.Sprint(r),
 				Digest: supervise.PanicDigest(debug.Stack()),
 			}
-			osp.SetStr("quarantined", res.quar.Digest)
+			span.SetStr("quarantined", res.quar.Digest)
 			if p.quarCtr != nil {
 				p.quarCtr.Inc()
 			}
@@ -373,10 +359,7 @@ func (p *Pool) merge() *Merged {
 			if !cycles.insert() {
 				continue
 			}
-			var blame telemetry.Span
-			if p.reg != nil {
-				blame = p.reg.StartSpan(telemetry.SpanPCDBlame, nil)
-			}
+			blame := p.reg.StartSpan(obs.Span{}, telemetry.SpanPCDBlame, nil)
 			v := f.Violation()
 			blame.End()
 			m.Violations = append(m.Violations, v)

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"doublechecker/internal/graph"
+	"doublechecker/internal/obs"
 	"doublechecker/internal/telemetry"
 	"doublechecker/internal/txn"
 	"doublechecker/internal/vm"
@@ -80,7 +81,7 @@ func (c *Checker) processReference(scc []*txn.Txn) []txn.Violation {
 	c.stats.TxnsProcessed += uint64(len(scc))
 	var span telemetry.Span
 	if c.tel != nil {
-		span = c.tel.reg.StartSpan(telemetry.SpanPCDReplay, c.meter)
+		span = c.tel.reg.StartSpan(obs.Span{}, telemetry.SpanPCDReplay, c.meter)
 		defer span.End()
 		c.tel.sccs.Inc()
 		c.tel.txns.Add(uint64(len(scc)))
@@ -248,7 +249,7 @@ func (c *Checker) refAddPDGEdge(g *pdg, src, dst *txn.Txn, seq uint64, found []t
 	c.cycles.seen[key] = true
 	var blame telemetry.Span
 	if c.tel != nil {
-		blame = c.tel.reg.StartSpan(telemetry.SpanPCDBlame, c.meter)
+		blame = c.tel.reg.StartSpan(obs.Span{}, telemetry.SpanPCDBlame, c.meter)
 	}
 	v := txn.NewViolationWith(path, seq, g.order)
 	blame.End()

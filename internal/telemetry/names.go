@@ -123,10 +123,10 @@ const (
 	SpanPCDPoolWorker = "pcd.pool.worker." // prefix; the worker index is appended
 )
 
-// Request-scoped trace span names (internal/obs). The aggregate phase
-// names above double as obs span names at the same call sites, so one
-// name means one pipeline stage in both the cumulative registry and a
-// per-request timeline; the names below exist only as obs spans — they
+// Request-scoped trace span names (internal/obs). The phase names above
+// are also trace span names: one Span feeds both the cumulative registry
+// and, under a live parent, a per-request timeline, so one name means one
+// pipeline stage in both. The names below exist only as obs spans — they
 // mark request plumbing (queueing, coalescing, caching, supervision)
 // that has no aggregate-phase counterpart. DESIGN.md §13 maps all of
 // them to pipeline stages and paper quantities.

@@ -2,7 +2,8 @@
 // reproduction: a lock-cheap registry of typed counters, gauges, and
 // fixed-bucket histograms, plus a phase-span API that charges wall time and
 // cost-model units to named pipeline stages (execute → octet barriers → IDG
-// build → SCC → PCD replay → blame).
+// build → SCC → PCD replay → blame) and, when a request is being traced,
+// records the same phase in its internal/obs span tree.
 //
 // The paper's whole argument is quantitative — the Octet transition mix
 // (Table 1 / Figure 4), IDG size, SCC count and size distribution (§5), and

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"doublechecker/internal/obs"
 )
 
 // TestCounterConcurrent hammers one counter and one histogram from many
@@ -78,7 +80,7 @@ func TestNilRegistry(t *testing.T) {
 	reg.Counter("c").Inc()
 	reg.Gauge("g").Set(1.5)
 	reg.Histogram("h", []uint64{1}).Observe(2)
-	sp := reg.StartSpan("phase", nil)
+	sp := reg.StartSpan(obs.Span{}, "phase", nil)
 	sp.End()
 	s := reg.Snapshot()
 	if len(s.Counters) != 0 || len(s.Spans) != 0 {
@@ -99,7 +101,7 @@ func TestNilRegistry(t *testing.T) {
 func TestSpanAccumulates(t *testing.T) {
 	reg := NewRegistry()
 	for i := 0; i < 3; i++ {
-		sp := reg.StartSpan("execute", nil)
+		sp := reg.StartSpan(obs.Span{}, "execute", nil)
 		time.Sleep(time.Millisecond)
 		sp.End()
 	}
@@ -133,7 +135,7 @@ func TestSnapshotJSONStable(t *testing.T) {
 		}
 		reg.Gauge("frac").Set(0.5)
 		reg.Histogram("sizes", []uint64{2, 4}).Observe(3)
-		sp := reg.StartSpan("phase", nil)
+		sp := reg.StartSpan(obs.Span{}, "phase", nil)
 		sp.End()
 		return reg.Snapshot().Deterministic().JSON()
 	}
