@@ -2,6 +2,7 @@ package graph
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 )
 
@@ -39,7 +40,8 @@ type IncSCC[N comparable] struct {
 	active  func(N) bool
 	onMerge func(winner, loser N)
 	ids     map[N]int32
-	nodes   []incNode[N]
+	pages   [][]incNode[N] // node table; see node
+	slots   int32          // slots handed out across pages
 	free    []int32
 	order   int
 	op      uint64
@@ -138,7 +140,8 @@ func (g *IncSCC[N]) Component(n N) (rep N, size int, cyclic, ok bool) {
 		return zero, 0, false, false
 	}
 	r := g.find(s)
-	return g.nodes[r].val, g.nodes[r].size, g.nodes[r].cyclic, true
+	nd := g.node(r)
+	return nd.val, nd.size, nd.cyclic, true
 }
 
 // Nodes returns the number of live (non-released) nodes.
@@ -155,10 +158,13 @@ func (g *IncSCC[N]) ensure(n N) int32 {
 		s = g.free[len(g.free)-1]
 		g.free = g.free[:len(g.free)-1]
 	} else {
-		g.nodes = append(g.nodes, incNode[N]{})
-		s = int32(len(g.nodes) - 1)
+		s = g.slots
+		g.slots++
+		if k := len(g.pages); g.pageOf(s) == k {
+			g.pages = append(g.pages, make([]incNode[N], 1<<(k+firstPageBits)))
+		}
 	}
-	nd := &g.nodes[s]
+	nd := g.node(s)
 	gen := nd.gen
 	succs, preds, pend := nd.succs[:0], nd.preds[:0], nd.pend[:0]
 	*nd = incNode[N]{
@@ -171,20 +177,38 @@ func (g *IncSCC[N]) ensure(n N) int32 {
 	return s
 }
 
+// The node table is paged: page k holds 1<<(k+firstPageBits) slots, so the
+// table grows by allocating one page and never copies nodes.
+const firstPageBits = 6
+
+// pageOf returns the page holding slot s.
+func (g *IncSCC[N]) pageOf(s int32) int {
+	return bits.Len32(uint32(s)+1<<firstPageBits) - 1 - firstPageBits
+}
+
+// node returns slot s.
+func (g *IncSCC[N]) node(s int32) *incNode[N] {
+	j := uint32(s) + 1<<firstPageBits
+	k := bits.Len32(j) - 1
+	return &g.pages[k-firstPageBits][j-1<<k]
+}
+
 // find returns the union–find root of slot s, with path halving.
 func (g *IncSCC[N]) find(s int32) int32 {
-	for g.nodes[s].parent != s {
-		p := g.nodes[s].parent
-		g.nodes[s].parent = g.nodes[p].parent
-		s = g.nodes[s].parent
+	for {
+		nd := g.node(s)
+		if nd.parent == s {
+			return s
+		}
+		nd.parent = g.node(nd.parent).parent
+		s = nd.parent
 	}
-	return s
 }
 
 // resolve maps an adjacency reference to its current component root, or -1
 // when the reference is stale (the slot was released, possibly recycled).
 func (g *IncSCC[N]) resolve(r adjRef) int32 {
-	nd := &g.nodes[r.slot]
+	nd := g.node(r.slot)
 	if nd.dead || nd.gen != r.gen {
 		return -1
 	}
@@ -198,11 +222,12 @@ func (g *IncSCC[N]) AddEdge(src, dst N) {
 	g.stats.Edges++
 	a := g.ensure(src)
 	b := g.ensure(dst)
+	na, nb := g.node(a), g.node(b)
 	switch {
-	case !g.nodes[b].active:
-		g.nodes[b].pend = append(g.nodes[b].pend, pendRef{other: a, gen: g.nodes[a].gen, out: false})
-	case !g.nodes[a].active:
-		g.nodes[a].pend = append(g.nodes[a].pend, pendRef{other: b, gen: g.nodes[b].gen, out: true})
+	case !nb.active:
+		nb.pend = append(nb.pend, pendRef{other: a, gen: na.gen, out: false})
+	case !na.active:
+		na.pend = append(na.pend, pendRef{other: b, gen: nb.gen, out: true})
 	default:
 		g.insertEligible(a, b)
 	}
@@ -218,7 +243,7 @@ func (g *IncSCC[N]) Activate(n N) {
 	if !ok {
 		return
 	}
-	nd := &g.nodes[s]
+	nd := g.node(s)
 	if nd.active || nd.dead {
 		return
 	}
@@ -226,12 +251,12 @@ func (g *IncSCC[N]) Activate(n N) {
 	pend := nd.pend
 	nd.pend = nil // consumed below; restored (emptied) after the drain
 	for _, r := range pend {
-		o := &g.nodes[r.other]
+		o := g.node(r.other)
 		if o.dead || o.gen != r.gen {
 			continue
 		}
 		if !o.active {
-			o.pend = append(o.pend, pendRef{other: s, gen: g.nodes[s].gen, out: !r.out})
+			o.pend = append(o.pend, pendRef{other: s, gen: nd.gen, out: !r.out})
 			continue
 		}
 		if r.out {
@@ -243,7 +268,7 @@ func (g *IncSCC[N]) Activate(n N) {
 	// Keep the backing array for the slot's next life. Safe: re-parks above
 	// only target inactive nodes, and this node is active, so none of them
 	// appended here.
-	g.nodes[s].pend = pend[:0]
+	nd.pend = pend[:0]
 }
 
 // CyclicComponent returns the members of n's component appended to buf when
@@ -255,13 +280,14 @@ func (g *IncSCC[N]) CyclicComponent(n N, buf []N) []N {
 		return nil
 	}
 	r := g.find(s)
-	if !g.nodes[r].cyclic {
+	if !g.node(r).cyclic {
 		return nil
 	}
 	m := r
 	for {
-		buf = append(buf, g.nodes[m].val)
-		m = g.nodes[m].next
+		nd := g.node(m)
+		buf = append(buf, nd.val)
+		m = nd.next
 		if m == r {
 			return buf
 		}
@@ -280,7 +306,7 @@ func (g *IncSCC[N]) Release(n N) {
 	}
 	g.stats.Releases++
 	delete(g.ids, n)
-	nd := &g.nodes[s]
+	nd := g.node(s)
 	nd.dead = true
 	nd.gen++
 	nd.succs = nd.succs[:0]
@@ -301,10 +327,10 @@ func (g *IncSCC[N]) insertEligible(a, b int32) {
 	if ra == rb {
 		// Internal edge: a single-node component becomes a self-loop cycle;
 		// a larger one is already cyclic.
-		g.nodes[ra].cyclic = true
+		g.node(ra).cyclic = true
 		return
 	}
-	ub, lb := g.nodes[ra].ord, g.nodes[rb].ord
+	ub, lb := g.node(ra).ord, g.node(rb).ord
 	if lb > ub {
 		// Already consistent with the order: insertion is free.
 		g.link(ra, rb)
@@ -313,28 +339,28 @@ func (g *IncSCC[N]) insertEligible(a, b int32) {
 	g.stats.Reorders++
 	g.op++
 	deltaF := g.forward(rb, ub)
-	cycle := g.nodes[ra].visitF == g.op
+	cycle := g.node(ra).visitF == g.op
 	deltaB := g.backward(ra, lb)
 	if !cycle {
 		// Acyclic Pearce–Kelly reorder: the affected window's indices are
 		// reassigned to deltaB (in relative order) then deltaF.
 		g.pool = g.pool[:0]
 		for _, r := range deltaF {
-			g.pool = append(g.pool, g.nodes[r].ord)
+			g.pool = append(g.pool, g.node(r).ord)
 		}
 		for _, r := range deltaB {
-			g.pool = append(g.pool, g.nodes[r].ord)
+			g.pool = append(g.pool, g.node(r).ord)
 		}
 		sortIndices(g.pool)
 		sortRootsByOrd(g, deltaB)
 		sortRootsByOrd(g, deltaF)
 		k := 0
 		for _, r := range deltaB {
-			g.nodes[r].ord = g.pool[k]
+			g.node(r).ord = g.pool[k]
 			k++
 		}
 		for _, r := range deltaF {
-			g.nodes[r].ord = g.pool[k]
+			g.node(r).ord = g.pool[k]
 			k++
 		}
 		g.link(ra, rb)
@@ -351,16 +377,16 @@ func (g *IncSCC[N]) insertEligible(a, b int32) {
 	g.sset, g.fx, g.bx = g.sset[:0], g.fx[:0], g.bx[:0]
 	g.pool = g.pool[:0]
 	for _, r := range deltaF {
-		g.pool = append(g.pool, g.nodes[r].ord)
-		if g.nodes[r].visitB == g.op {
+		g.pool = append(g.pool, g.node(r).ord)
+		if g.node(r).visitB == g.op {
 			g.sset = append(g.sset, r)
 		} else {
 			g.fx = append(g.fx, r)
 		}
 	}
 	for _, r := range deltaB {
-		if g.nodes[r].visitF != g.op {
-			g.pool = append(g.pool, g.nodes[r].ord)
+		if g.node(r).visitF != g.op {
+			g.pool = append(g.pool, g.node(r).ord)
 			g.bx = append(g.bx, r)
 		}
 	}
@@ -369,13 +395,13 @@ func (g *IncSCC[N]) insertEligible(a, b int32) {
 	sortRootsByOrd(g, g.fx)
 	k := 0
 	for _, r := range g.bx {
-		g.nodes[r].ord = g.pool[k]
+		g.node(r).ord = g.pool[k]
 		k++
 	}
 	mergedOrd := g.pool[k]
 	k++
 	for _, r := range g.fx {
-		g.nodes[r].ord = g.pool[k]
+		g.node(r).ord = g.pool[k]
 		k++
 	}
 	g.mergeInto(g.sset, mergedOrd)
@@ -393,20 +419,22 @@ func (g *IncSCC[N]) mergeInto(s []int32, ord int) {
 	w := s[0]
 	for _, r := range s[1:] {
 		if g.onMerge != nil {
-			g.onMerge(g.nodes[w].val, g.nodes[r].val)
+			g.onMerge(g.node(w).val, g.node(r).val)
 		}
-		g.nodes[r].parent = w
-		g.nodes[w].next, g.nodes[r].next = g.nodes[r].next, g.nodes[w].next
-		g.nodes[w].size += g.nodes[r].size
-		g.nodes[w].succs = append(g.nodes[w].succs, g.nodes[r].succs...)
-		g.nodes[w].preds = append(g.nodes[w].preds, g.nodes[r].preds...)
-		g.nodes[r].succs = g.nodes[r].succs[:0]
-		g.nodes[r].preds = g.nodes[r].preds[:0]
+		nw, nr := g.node(w), g.node(r)
+		nr.parent = w
+		nw.next, nr.next = nr.next, nw.next
+		nw.size += nr.size
+		nw.succs = append(nw.succs, nr.succs...)
+		nw.preds = append(nw.preds, nr.preds...)
+		nr.succs = nr.succs[:0]
+		nr.preds = nr.preds[:0]
 	}
-	g.nodes[w].ord = ord
-	g.nodes[w].cyclic = true
-	g.nodes[w].succs = g.compactList(w, g.nodes[w].succs)
-	g.nodes[w].preds = g.compactList(w, g.nodes[w].preds)
+	nw := g.node(w)
+	nw.ord = ord
+	nw.cyclic = true
+	nw.succs = g.compactList(w, nw.succs)
+	nw.preds = g.compactList(w, nw.preds)
 }
 
 // compactList drops stale, internal, and duplicate entries from one of r's
@@ -420,11 +448,15 @@ func (g *IncSCC[N]) compactList(r int32, list []adjRef) []adjRef {
 	for _, ref := range list {
 		g.stats.EdgesScanned++
 		t := g.resolve(ref)
-		if t < 0 || t == r || g.nodes[t].mark == lop {
+		if t < 0 || t == r {
 			continue
 		}
-		g.nodes[t].mark = lop
-		list[w] = adjRef{slot: t, gen: g.nodes[t].gen}
+		nt := g.node(t)
+		if nt.mark == lop {
+			continue
+		}
+		nt.mark = lop
+		list[w] = adjRef{slot: t, gen: nt.gen}
 		w++
 	}
 	return list[:w]
@@ -432,8 +464,9 @@ func (g *IncSCC[N]) compactList(r int32, list []adjRef) []adjRef {
 
 // link appends the component-level adjacency for edge ra -> rb.
 func (g *IncSCC[N]) link(ra, rb int32) {
-	g.nodes[ra].succs = append(g.nodes[ra].succs, adjRef{slot: rb, gen: g.nodes[rb].gen})
-	g.nodes[rb].preds = append(g.nodes[rb].preds, adjRef{slot: ra, gen: g.nodes[ra].gen})
+	na, nb := g.node(ra), g.node(rb)
+	na.succs = append(na.succs, adjRef{slot: rb, gen: nb.gen})
+	nb.preds = append(nb.preds, adjRef{slot: ra, gen: na.gen})
 }
 
 // forward collects the component roots reachable from start with ord <= ub
@@ -442,7 +475,7 @@ func (g *IncSCC[N]) link(ra, rb int32) {
 func (g *IncSCC[N]) forward(start int32, ub int) []int32 {
 	g.deltaF = g.deltaF[:0]
 	g.stack = append(g.stack[:0], start)
-	g.nodes[start].visitF = g.op
+	g.node(start).visitF = g.op
 	for len(g.stack) > 0 {
 		r := g.stack[len(g.stack)-1]
 		g.stack = g.stack[:len(g.stack)-1]
@@ -450,23 +483,28 @@ func (g *IncSCC[N]) forward(start int32, ub int) []int32 {
 		g.stats.NodesVisited++
 		g.listOp++
 		lop := g.listOp
-		succs := g.nodes[r].succs
+		nr := g.node(r)
+		succs := nr.succs
 		w := 0
 		for _, ref := range succs {
 			g.stats.EdgesScanned++
 			t := g.resolve(ref)
-			if t < 0 || t == r || g.nodes[t].mark == lop {
-				continue // stale, internal after a merge, or duplicate: drop
+			if t < 0 || t == r {
+				continue // stale or internal after a merge: drop
 			}
-			g.nodes[t].mark = lop
-			succs[w] = adjRef{slot: t, gen: g.nodes[t].gen}
+			nt := g.node(t)
+			if nt.mark == lop {
+				continue // duplicate: drop
+			}
+			nt.mark = lop
+			succs[w] = adjRef{slot: t, gen: nt.gen}
 			w++
-			if g.nodes[t].visitF != g.op && g.nodes[t].ord <= ub {
-				g.nodes[t].visitF = g.op
+			if nt.visitF != g.op && nt.ord <= ub {
+				nt.visitF = g.op
 				g.stack = append(g.stack, t)
 			}
 		}
-		g.nodes[r].succs = succs[:w]
+		nr.succs = succs[:w]
 	}
 	return g.deltaF
 }
@@ -476,7 +514,7 @@ func (g *IncSCC[N]) forward(start int32, ub int) []int32 {
 func (g *IncSCC[N]) backward(start int32, lb int) []int32 {
 	g.deltaB = g.deltaB[:0]
 	g.stack = append(g.stack[:0], start)
-	g.nodes[start].visitB = g.op
+	g.node(start).visitB = g.op
 	for len(g.stack) > 0 {
 		r := g.stack[len(g.stack)-1]
 		g.stack = g.stack[:len(g.stack)-1]
@@ -484,23 +522,28 @@ func (g *IncSCC[N]) backward(start int32, lb int) []int32 {
 		g.stats.NodesVisited++
 		g.listOp++
 		lop := g.listOp
-		preds := g.nodes[r].preds
+		nr := g.node(r)
+		preds := nr.preds
 		w := 0
 		for _, ref := range preds {
 			g.stats.EdgesScanned++
 			t := g.resolve(ref)
-			if t < 0 || t == r || g.nodes[t].mark == lop {
+			if t < 0 || t == r {
 				continue
 			}
-			g.nodes[t].mark = lop
-			preds[w] = adjRef{slot: t, gen: g.nodes[t].gen}
+			nt := g.node(t)
+			if nt.mark == lop {
+				continue
+			}
+			nt.mark = lop
+			preds[w] = adjRef{slot: t, gen: nt.gen}
 			w++
-			if g.nodes[t].visitB != g.op && g.nodes[t].ord >= lb {
-				g.nodes[t].visitB = g.op
+			if nt.visitB != g.op && nt.ord >= lb {
+				nt.visitB = g.op
 				g.stack = append(g.stack, t)
 			}
 		}
-		g.nodes[r].preds = preds[:w]
+		nr.preds = preds[:w]
 	}
 	return g.deltaB
 }
@@ -512,6 +555,6 @@ func sortIndices(xs []int) { slices.Sort(xs) }
 // (indices are unique, so the order is total).
 func sortRootsByOrd[N comparable](g *IncSCC[N], rs []int32) {
 	slices.SortFunc(rs, func(x, y int32) int {
-		return cmp.Compare(g.nodes[x].ord, g.nodes[y].ord)
+		return cmp.Compare(g.node(x).ord, g.node(y).ord)
 	})
 }

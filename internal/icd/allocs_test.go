@@ -108,3 +108,78 @@ func TestICDHotPathAllocs(t *testing.T) {
 		}
 	})
 }
+
+// TestICDLoggingAllocs pins the allocation discipline of the logging path
+// (single-run mode and the second run of multi-run mode): repeat accesses
+// that elision drops must not allocate, and appends to the per-thread log
+// slabs must amortize to a few allocations per thousand entries once the
+// slabs and elision tables are warm.
+//
+// The test is excluded under -race, whose instrumentation allocates.
+func TestICDLoggingAllocs(t *testing.T) {
+	b := vm.NewBuilder("logallocs")
+	objs := make([]vm.ObjectID, 64)
+	for i := range objs {
+		objs[i] = b.Object()
+	}
+	m := b.Method("spin")
+	m.Read(objs[0], 0)
+	b.Thread(m)
+	prog := b.MustBuild()
+
+	newChecker := func() (*Checker, func(obj vm.ObjectID, field vm.FieldID, write bool)) {
+		c := NewChecker(prog, cost.NewMeter(cost.Default()), Options{Logging: true, GCPeriod: 1 << 30})
+		c.ProgramStart(&fakeExec{})
+		c.ThreadStart(0)
+		var seq uint64
+		return c, func(obj vm.ObjectID, field vm.FieldID, write bool) {
+			seq++
+			c.Access(vm.Access{Thread: 0, Obj: obj, Field: field, Write: write, Class: vm.ClassField, Seq: seq})
+		}
+	}
+
+	// Elided repeats: the same read and write again within one window.
+	t.Run("elided-repeat", func(t *testing.T) {
+		c, access := newChecker()
+		access(objs[0], 0, true)
+		access(objs[1], 2, false)
+		if n := testing.AllocsPerRun(200, func() {
+			access(objs[0], 0, false)
+			access(objs[0], 0, true)
+			access(objs[1], 2, false)
+		}); n != 0 {
+			t.Errorf("elided repeats: %v allocs/op, want 0", n)
+		}
+		if st := c.TxnStats(); st.LogEntries != 2 {
+			t.Errorf("log entries = %d, want 2 (every repeat elided)", st.LogEntries)
+		}
+	})
+
+	// Appends: each round is one regular transaction logging 1000 distinct
+	// fields. Besides one or two log slabs a round allocates its
+	// transaction node and the program-order edge with its adjacency in
+	// the manager and the SCC engine; the budget covers those plus the
+	// amortized growth of both's tables.
+	t.Run("log-append", func(t *testing.T) {
+		const entries, budget = 1000, 10
+		c, access := newChecker()
+		round := func() {
+			c.TxBegin(0, 0)
+			for i := 0; i < entries; i++ {
+				access(objs[i%len(objs)], vm.FieldID(i/len(objs)), i%3 == 0)
+			}
+			c.TxEnd(0, 0)
+		}
+		for i := 0; i < 4; i++ {
+			round() // warm up: slabs at full size, elision table grown
+		}
+		before := c.TxnStats().LogEntries
+		n := testing.AllocsPerRun(20, round)
+		if logged := (c.TxnStats().LogEntries - before) / 21; logged != entries {
+			t.Fatalf("logged %d entries per round, want %d", logged, entries)
+		}
+		if n > budget {
+			t.Errorf("log appends: %v allocs per %d entries, want <= %d", n, entries, budget)
+		}
+	})
+}

@@ -163,10 +163,11 @@ type Checker struct {
 	mgr *txn.Manager
 	oct *octet.Engine
 
-	lastRdEx  map[vm.ThreadID]*txn.Txn
+	// lastRdEx and skipping are indexed by thread (see setThread).
+	lastRdEx  []*txn.Txn
 	gLastRdSh *txn.Txn
 
-	skipping map[vm.ThreadID]bool
+	skipping []bool
 	exec     vm.ExecView
 
 	// sccMethods accumulates the static transaction information multi-run
@@ -210,8 +211,6 @@ func NewChecker(prog *vm.Program, meter *cost.Meter, opts Options) *Checker {
 		prog:       prog,
 		meter:      meter,
 		opts:       opts,
-		lastRdEx:   make(map[vm.ThreadID]*txn.Txn),
-		skipping:   make(map[vm.ThreadID]bool),
 		sccMethods: make(map[vm.MethodID]int),
 		tel:        newTel(opts.Telemetry),
 	}
@@ -383,10 +382,28 @@ func (c *Checker) ThreadExit(t vm.ThreadID) {
 	c.mgr.ThreadExit(t)
 }
 
+// atThread returns xs[t], or the zero value for a thread beyond xs.
+func atThread[T any](xs []T, t vm.ThreadID) T {
+	if int(t) < len(xs) {
+		return xs[t]
+	}
+	var zero T
+	return zero
+}
+
+// setThread stores v at xs[t], growing xs to cover t.
+func setThread[T any](xs []T, t vm.ThreadID, v T) []T {
+	if int(t) >= len(xs) {
+		xs = append(xs, make([]T, int(t)+1-len(xs))...)
+	}
+	xs[t] = v
+	return xs
+}
+
 // TxBegin implements vm.Instrumentation.
 func (c *Checker) TxBegin(t vm.ThreadID, m vm.MethodID) {
 	if !c.opts.Filter.TxSelected(m) {
-		c.skipping[t] = true
+		c.skipping = setThread(c.skipping, t, true)
 		return
 	}
 	c.stats.RegularTx++
@@ -395,8 +412,8 @@ func (c *Checker) TxBegin(t vm.ThreadID, m vm.MethodID) {
 
 // TxEnd implements vm.Instrumentation.
 func (c *Checker) TxEnd(t vm.ThreadID, m vm.MethodID) {
-	if c.skipping[t] {
-		delete(c.skipping, t)
+	if atThread(c.skipping, t) {
+		c.skipping[t] = false
 		return
 	}
 	c.mgr.EndRegular(t)
@@ -405,7 +422,7 @@ func (c *Checker) TxEnd(t vm.ThreadID, m vm.MethodID) {
 // Access implements vm.Instrumentation: the Octet barrier plus ICD's
 // logging instrumentation.
 func (c *Checker) Access(a vm.Access) {
-	if c.skipping[a.Thread] {
+	if atThread(c.skipping, a.Thread) {
 		return
 	}
 	inTx := c.exec != nil && c.exec.InTx(a.Thread)
@@ -461,20 +478,21 @@ func (c *Checker) HandleConflicting(resp, req vm.ThreadID, old, new octet.State,
 		dst = c.mgr.Current(req)
 	}
 	if new.Kind == octet.RdEx && new.Owner == req {
-		c.lastRdEx[req] = dst
+		c.lastRdEx = setThread(c.lastRdEx, req, dst)
 	}
 }
 
 // HandleUpgrading implements octet.Hooks (Figure 4,
 // handleUpgradingTransition).
 func (c *Checker) HandleUpgrading(t vm.ThreadID, rdExOwner vm.ThreadID, old, new octet.State) {
+	last := atThread(c.lastRdEx, rdExOwner)
 	var cur *txn.Txn
-	if c.lastRdEx[rdExOwner] != nil || c.gLastRdSh != nil {
+	if last != nil || c.gLastRdSh != nil {
 		cur = c.mgr.EdgeSink(t) // incoming edges cut merged unaries
 	} else {
 		cur = c.mgr.Current(t)
 	}
-	if last := c.lastRdEx[rdExOwner]; last != nil {
+	if last != nil {
 		c.addIDGEdge(last, cur, edgeUpgradeRdEx)
 	}
 	if c.gLastRdSh != nil {

@@ -368,12 +368,15 @@ func (p *Pool) merge() *Merged {
 	return m
 }
 
-// snapshotSCC deep-clones an SCC for hand-off: member transactions with
-// their logs, plus the transitive mark-peer closure — the same anchor set
-// the ByEdges replay walks — remapped onto the clones. Only the fields
-// Process reads are copied; manager-internal state (edge maps, GC flags)
-// stays behind. Returns the clones and the number of log entries copied,
-// the hand-off cost driver.
+// snapshotSCC clones an SCC for hand-off: member transactions, plus the
+// transitive mark-peer closure — the same anchor set the ByEdges replay
+// walks — remapped onto the clones. Only the fields Process reads are
+// taken; manager-internal state (edge maps, GC flags) stays behind. Logs
+// are shared, not copied: the manager writes a log region once and never
+// changes it (txn.Txn.Log), and the capped slice keeps appends out of it.
+// Marks are copied, because a finished transaction can still gain marks.
+// Returns the clones and the number of log entries handed off, the
+// hand-off cost driver.
 func snapshotSCC(scc []*txn.Txn) ([]*txn.Txn, int) {
 	// Bound the closure like orderByEdges bounds its anchors; past the cap,
 	// peers become bare ID/Thread stubs (stamps still usable, no more pull).
@@ -405,9 +408,9 @@ func snapshotSCC(scc []*txn.Txn) ([]*txn.Txn, int) {
 		c := clones[tx]
 		c.ID, c.Thread, c.Method, c.Unary = tx.ID, tx.Thread, tx.Method, tx.Unary
 		c.StartSeq, c.EndSeq, c.Finished = tx.StartSeq, tx.EndSeq, tx.Finished
-		if len(tx.Log) > 0 {
-			c.Log = append([]txn.LogEntry(nil), tx.Log...)
-			entries += len(tx.Log)
+		if n := len(tx.Log); n > 0 {
+			c.Log = tx.Log[:n:n]
+			entries += n
 		}
 		if len(tx.Marks) > 0 {
 			marks := make([]txn.Mark, len(tx.Marks))

@@ -38,10 +38,15 @@ type Txn struct {
 	// Out holds this transaction's outgoing dependence edges (intra-thread
 	// program-order edges and cross-thread edges), deduplicated by target.
 	Out []*Edge
+	// out indexes Out by target once it outgrows outIndexMin; below that
+	// EdgeTo scans Out, which beats hashing for the typical handful of edges.
 	out map[*Txn]*Edge
 
 	// Log is the transaction's ordered read/write log (only when the
-	// manager logs). Seq values are the VM's global access sequence.
+	// manager logs). Seq values are the VM's global access sequence. It is a
+	// capped window of its thread's log slab, written once: entries are
+	// never changed after they are appended, and cap(Log) == len(Log), so an
+	// append by a consumer copies instead of writing into the slab.
 	Log []LogEntry
 	// Marks are the edge-occurrence log entries (only when logging).
 	Marks []Mark
@@ -75,9 +80,21 @@ func (t *Txn) Succs() []*Txn {
 	return succs
 }
 
+// outIndexMin is the out-degree past which a transaction indexes its edges
+// by target in a map.
+const outIndexMin = 8
+
 // EdgeTo returns the edge from t to dst, or nil.
 func (t *Txn) EdgeTo(dst *Txn) *Edge {
-	return t.out[dst]
+	if t.out != nil {
+		return t.out[dst]
+	}
+	for _, e := range t.Out {
+		if e.Dst == dst {
+			return e
+		}
+	}
+	return nil
 }
 
 // Interrupted reports whether a cross-thread edge has touched this
@@ -147,19 +164,25 @@ type Stats struct {
 	Swept       uint64
 }
 
-// fieldKey identifies a field for elision metadata.
-type fieldKey struct {
-	obj   vm.ObjectID
-	field vm.FieldID
+// threadState is the manager's per-thread state, indexed by vm.ThreadID.
+type threadState struct {
+	cur *Txn // current transaction; nil before the thread's first
+	// ts is the thread's elision timestamp: bumped when it starts a
+	// transaction and when its current transaction gains a cross edge, which
+	// ends the elision window (paper §4).
+	ts    uint64
+	elide elideTable
+	// slab is the thread's write-once log storage. The current
+	// transaction's log is always its tail: slab[len(slab)-len(cur.Log):].
+	slab []LogEntry
 }
 
-// lastAccess is the per-(field, thread) elision timestamp (paper §4: "ICD
-// tracks, for each field, the value of a per-thread timestamp of the last
-// access (and whether it was a read or write)").
-type lastAccess struct {
-	ts    uint64
-	wrote bool
-}
+// Log slabs grow geometrically from minSlab entries up to maxSlab, so a
+// thread that logs little allocates little and a busy one allocates rarely.
+const (
+	minSlab = 16
+	maxSlab = 1024
+)
 
 // Manager creates transactions, maintains per-thread currents, adds edges,
 // records logs, and collects dead transactions.
@@ -168,7 +191,7 @@ type Manager struct {
 	meter   *cost.Meter
 	clock   func() uint64 // global step clock (vm.Exec.Now)
 
-	current map[vm.ThreadID]*Txn
+	threads []threadState
 	all     []*Txn
 	nextID  uint64
 	edgeSeq uint64
@@ -198,9 +221,6 @@ type Manager struct {
 	freeEdges []*Edge
 	gcStack   []*Txn // Collect's mark-stack scratch, reused across collections
 
-	elide    map[fieldKey]map[vm.ThreadID]*lastAccess
-	threadTS map[vm.ThreadID]uint64
-
 	stats Stats
 }
 
@@ -212,14 +232,24 @@ func NewManager(logging bool, clock func() uint64, meter *cost.Meter) *Manager {
 		var n uint64
 		clock = func() uint64 { n++; return n }
 	}
-	return &Manager{
-		logging:  logging,
-		meter:    meter,
-		clock:    clock,
-		current:  make(map[vm.ThreadID]*Txn),
-		elide:    make(map[fieldKey]map[vm.ThreadID]*lastAccess),
-		threadTS: make(map[vm.ThreadID]uint64),
+	return &Manager{logging: logging, meter: meter, clock: clock}
+}
+
+// thread returns t's state, growing the table on a thread's first use. The
+// pointer is valid until the next call for a thread not seen before.
+func (m *Manager) thread(t vm.ThreadID) *threadState {
+	if int(t) >= len(m.threads) {
+		m.threads = append(m.threads, make([]threadState, int(t)+1-len(m.threads))...)
 	}
+	return &m.threads[t]
+}
+
+// current returns t's current transaction, or nil.
+func (m *Manager) current(t vm.ThreadID) *Txn {
+	if int(t) < len(m.threads) {
+		return m.threads[t].cur
+	}
+	return nil
 }
 
 // OnFinish registers the finished-transaction callback.
@@ -275,7 +305,7 @@ func (m *Manager) newTxn(t vm.ThreadID, method vm.MethodID, unary bool) *Txn {
 		clear(out)
 		*tx = Txn{out: out, Out: outs}
 	} else {
-		tx = &Txn{out: make(map[*Txn]*Edge)}
+		tx = &Txn{}
 	}
 	tx.ID = m.nextID
 	tx.Thread = t
@@ -284,7 +314,7 @@ func (m *Manager) newTxn(t vm.ThreadID, method vm.MethodID, unary bool) *Txn {
 	tx.StartSeq = m.clock()
 	m.all = append(m.all, tx)
 	m.alloc(txnBytes)
-	m.threadTS[t]++
+	m.thread(t).ts++
 	if unary {
 		m.stats.UnaryTxns++
 	} else {
@@ -314,7 +344,7 @@ func (m *Manager) finish(tx *Txn) {
 // method meth, retiring t's current unary transaction if any, and linking
 // program order.
 func (m *Manager) BeginRegular(t vm.ThreadID, meth vm.MethodID) *Txn {
-	prev := m.current[t]
+	prev := m.current(t)
 	tx := m.newTxn(t, meth, false)
 	if prev != nil {
 		m.addIntraEdge(prev, tx)
@@ -322,21 +352,20 @@ func (m *Manager) BeginRegular(t vm.ThreadID, meth vm.MethodID) *Txn {
 			m.finish(prev)
 		}
 	}
-	m.current[t] = tx
+	m.threads[t].cur = tx
 	return tx
 }
 
 // EndRegular finishes thread t's current regular transaction. The thread's
 // next access will begin a fresh unary transaction.
 func (m *Manager) EndRegular(t vm.ThreadID) {
-	tx := m.current[t]
+	tx := m.current(t)
 	if tx == nil || tx.Unary {
 		panic(fmt.Sprintf("txn: EndRegular(t%d) with current %v", t, tx))
 	}
+	// tx stays current for edge sourcing until the next access creates a
+	// unary transaction (Current sees it is finished).
 	m.finish(tx)
-	// Keep tx as "current" for edge-sourcing purposes until the next
-	// access creates a unary transaction; mark it so Current knows.
-	m.current[t] = tx
 }
 
 // Current returns thread t's current transaction for edge sourcing/sinking,
@@ -344,11 +373,11 @@ func (m *Manager) EndRegular(t vm.ThreadID) {
 // into one unary transaction until a cross-thread edge interrupts it
 // (paper §4's reuse of Velodrome's optimization).
 func (m *Manager) Current(t vm.ThreadID) *Txn {
-	tx := m.current[t]
+	tx := m.current(t)
 	switch {
 	case tx == nil:
 		tx = m.newTxn(t, vm.NoMethod, true)
-		m.current[t] = tx
+		m.threads[t].cur = tx
 	case tx.Finished || (tx.Unary && tx.interrupted) || (m.noMerge && tx.Unary && tx.accesses > 0):
 		prev := tx
 		tx = m.newTxn(t, vm.NoMethod, true)
@@ -356,7 +385,7 @@ func (m *Manager) Current(t vm.ThreadID) *Txn {
 		if prev.Unary {
 			m.finish(prev)
 		}
-		m.current[t] = tx
+		m.threads[t].cur = tx
 	}
 	return tx
 }
@@ -366,7 +395,7 @@ func (m *Manager) Current(t vm.ThreadID) *Txn {
 // transition (its objects remain in its exclusive states), and the edge
 // source for that is its last transaction.
 func (m *Manager) ThreadExit(t vm.ThreadID) {
-	if tx := m.current[t]; tx != nil && !tx.Finished {
+	if tx := m.current(t); tx != nil && !tx.Finished {
 		m.finish(tx)
 	}
 }
@@ -376,7 +405,7 @@ func (m *Manager) ThreadExit(t vm.ThreadID) {
 // currTX(T) likewise refers to T's latest transaction when T sits between
 // transactions or has exited). Unlike Current, EdgeSource never creates a
 // transaction; it returns nil for a thread that never ran one.
-func (m *Manager) EdgeSource(t vm.ThreadID) *Txn { return m.current[t] }
+func (m *Manager) EdgeSource(t vm.ThreadID) *Txn { return m.current(t) }
 
 // EdgeSink returns the transaction that an incoming cross-thread edge for
 // thread t's in-flight access should target. For a regular transaction this
@@ -399,7 +428,7 @@ func (m *Manager) EdgeSink(t vm.ThreadID) *Txn {
 	fresh := m.newTxn(t, vm.NoMethod, true)
 	m.addIntraEdge(cur, fresh)
 	m.finish(cur)
-	m.current[t] = fresh
+	m.threads[t].cur = fresh
 	return fresh
 }
 
@@ -407,7 +436,7 @@ func (m *Manager) addIntraEdge(src, dst *Txn) {
 	if src == dst {
 		return
 	}
-	if e := src.out[dst]; e != nil {
+	if src.EdgeTo(dst) != nil {
 		return
 	}
 	m.newEdge(src, dst, false)
@@ -437,7 +466,7 @@ func (m *Manager) AddCrossEdge(src, dst *Txn) *Edge {
 	if dst.Unary {
 		dst.interrupted = true
 	}
-	e := src.out[dst]
+	e := src.EdgeTo(dst)
 	if e == nil {
 		e = m.newEdge(src, dst, true)
 		m.stats.CrossEdges++
@@ -464,8 +493,16 @@ func (m *Manager) newEdge(src, dst *Txn, cross bool) *Edge {
 		e = new(Edge)
 	}
 	*e = Edge{Src: src, Dst: dst, Cross: cross, Order: m.edgeSeq}
-	src.out[dst] = e
 	src.Out = append(src.Out, e)
+	switch {
+	case src.out != nil:
+		src.out[dst] = e
+	case len(src.Out) > outIndexMin:
+		src.out = make(map[*Txn]*Edge, 2*len(src.Out))
+		for _, oe := range src.Out {
+			src.out[oe.Dst] = oe
+		}
+	}
 	if src.Finished {
 		// A finished source never re-fires finish's successor stamping, so
 		// the edge stamps its sink directly (see Txn.FinishedInEdge).
@@ -477,8 +514,8 @@ func (m *Manager) newEdge(src, dst *Txn, cross bool) *Edge {
 // bumpTS invalidates elision windows for the owning thread when its current
 // transaction communicates.
 func (m *Manager) bumpTS(tx *Txn) {
-	if m.current[tx.Thread] == tx {
-		m.threadTS[tx.Thread]++
+	if m.current(tx.Thread) == tx {
+		m.threads[tx.Thread].ts++
 	}
 }
 
@@ -491,49 +528,43 @@ func (m *Manager) Record(t vm.ThreadID, obj vm.ObjectID, field vm.FieldID, write
 	if !m.logging {
 		return tx
 	}
-	if m.noElide {
-		tx.Log = append(tx.Log, LogEntry{Obj: obj, Field: field, Write: write, Sync: sync, Seq: seq})
-		m.stats.LogEntries++
-		m.alloc(entryBytes)
-		if m.meter != nil {
-			m.meter.Charge(m.meter.Model().LogAppend)
-		}
-		return tx
-	}
-	key := fieldKey{obj, field}
-	perThread := m.elide[key]
-	if perThread == nil {
-		perThread = make(map[vm.ThreadID]*lastAccess)
-		m.elide[key] = perThread
-	}
-	la := perThread[t]
-	cur := m.threadTS[t]
-	if la != nil && la.ts == cur && (!write || la.wrote) {
+	th := &m.threads[t] // Current created it
+	if !m.noElide {
 		// Same elision window and no new information: a read is covered by
 		// any prior recorded access; a write is covered by a prior write.
-		m.stats.LogElided++
-		if m.meter != nil {
-			m.meter.Charge(m.meter.Model().LogElide)
+		if th.elide.note(elideKey(obj, field), th.ts, write) {
+			m.stats.LogElided++
+			if m.meter != nil {
+				m.meter.Charge(m.meter.Model().LogElide)
+			}
+			return tx
 		}
-		return tx
 	}
-	if la == nil {
-		la = &lastAccess{}
-		perThread[t] = la
-	}
-	if la.ts == cur {
-		la.wrote = la.wrote || write
-	} else {
-		la.wrote = write
-	}
-	la.ts = cur
-	tx.Log = append(tx.Log, LogEntry{Obj: obj, Field: field, Write: write, Sync: sync, Seq: seq})
+	th.appendLog(tx, LogEntry{Obj: obj, Field: field, Write: write, Sync: sync, Seq: seq})
 	m.stats.LogEntries++
 	m.alloc(entryBytes)
 	if m.meter != nil {
 		m.meter.Charge(m.meter.Model().LogAppend)
 	}
 	return tx
+}
+
+// appendLog appends e to tx, th's current transaction, writing it into th's
+// slab. When the slab is full the running transaction's prefix moves to a
+// fresh, larger slab; the entries of finished transactions stay where they
+// are, so a Log once handed out never changes.
+func (th *threadState) appendLog(tx *Txn, e LogEntry) {
+	n := len(tx.Log)
+	if len(th.slab) == cap(th.slab) {
+		size := min(max(2*cap(th.slab), minSlab), maxSlab)
+		size = max(size, 2*(n+1))
+		slab := make([]LogEntry, n, size)
+		copy(slab, tx.Log)
+		th.slab = slab
+	}
+	th.slab = append(th.slab, e)
+	end := len(th.slab)
+	tx.Log = th.slab[end-n-1 : end : end]
 }
 
 // Collect sweeps transactions that can never participate in a future cycle:
@@ -555,8 +586,8 @@ func (m *Manager) Collect(extraRoots []*Txn) int {
 			stack = append(stack, tx)
 		}
 	}
-	for _, tx := range m.current {
-		mark(tx)
+	for i := range m.threads {
+		mark(m.threads[i].cur)
 	}
 	for _, tx := range extraRoots {
 		mark(tx)
