@@ -88,6 +88,8 @@ type Options struct {
 	// default 0.1. Lower values preempt less often.
 	Stickiness float64
 	// FirstRuns is the number of first runs in ModeMultiRun; default 10.
+	// They execute concurrently on up to GOMAXPROCS goroutines; the report
+	// is the same for any GOMAXPROCS.
 	FirstRuns int
 
 	// TrialTimeout bounds each trial's wall-clock time; 0 means unbounded.
@@ -110,10 +112,12 @@ type Options struct {
 	// recorded on Report.Downgrades.
 	MemoryBudget int64
 
-	// inject, when set (tests only), may mutate a run's configuration just
-	// before it starts — the deterministic fault-injection hook. seed is
-	// the scheduler seed of that particular run (trial seed, or first-run
-	// seed for ModeMultiRun's first runs).
+	// inject, when set (tests only), may mutate a run's configuration as it
+	// is built — the deterministic fault-injection hook. seed is the
+	// scheduler seed of that particular run (trial seed, or first-run seed
+	// for ModeMultiRun's first runs). It is always called on the checking
+	// goroutine, in run order: a multi-run trial's first runs are all
+	// configured, in index order, before any of them starts.
 	inject func(analysis core.Analysis, seed int64, cfg *core.Config)
 
 	// telemetry is the check-wide metric registry, created by
@@ -460,10 +464,15 @@ type trialOutcome struct {
 	notes []TrialFailure
 }
 
+// firstRuns executes a multi-run trial's first runs. It is a variable only
+// so the determinism tests can substitute the serial reference loop.
+var firstRuns = core.FirstRuns
+
 func runMode(ctx context.Context, prog *vm.Program, sp *spec.Spec, seed int64, opts Options) (trialOutcome, error) {
 	newCfg := func(analysis core.Analysis, schedSeed int64) core.Config {
 		cfg := core.Config{
 			Analysis:  analysis,
+			Seed:      schedSeed,
 			Sched:     vm.NewSticky(schedSeed, opts.Stickiness),
 			Atomic:    sp.Atomic,
 			MaxSteps:  opts.MaxSteps,
@@ -473,49 +482,39 @@ func runMode(ctx context.Context, prog *vm.Program, sp *spec.Spec, seed int64, o
 			cfg.Meter = cost.NewMeter(cost.Default())
 			cfg.MemoryBudget = opts.MemoryBudget
 		}
-		return cfg
-	}
-	exec := func(cfg core.Config, schedSeed int64) (*core.Result, error) {
 		if opts.inject != nil {
-			opts.inject(cfg.Analysis, schedSeed, &cfg)
+			opts.inject(analysis, schedSeed, &cfg)
 		}
-		return core.RunContext(ctx, prog, cfg)
+		return cfg
 	}
 	switch opts.Mode {
 	case ModeSingleRun:
-		res, err := exec(newCfg(core.DCSingle, seed), seed)
+		res, err := core.RunContext(ctx, prog, newCfg(core.DCSingle, seed))
 		return trialOutcome{res: res}, err
 	case ModeVelodrome:
-		res, err := exec(newCfg(core.Velodrome, seed), seed)
+		res, err := core.RunContext(ctx, prog, newCfg(core.Velodrome, seed))
 		return trialOutcome{res: res}, err
 	case ModeMultiRun:
-		var firsts []*core.Result
-		var notes []TrialFailure
-		var firstErrs []error
-		for i := 0; i < opts.FirstRuns; i++ {
-			fseed := seed*1000 + int64(i)
-			res, err := exec(newCfg(core.DCFirst, fseed), fseed)
-			if err != nil {
-				if ctx.Err() != nil {
-					return trialOutcome{}, err
-				}
-				// The first runs are an ensemble; record the loss and let
-				// the survivors feed the second run.
-				notes = append(notes, TrialFailure{
-					Analysis: core.DCFirst.String(), Seed: fseed, Attempt: 1,
-					Kind: string(supervise.Classify(err)), Err: err, Recovered: true,
-				})
-				firstErrs = append(firstErrs, fmt.Errorf("first run %d (seed %d): %w", i, fseed, err))
-				continue
-			}
-			firsts = append(firsts, res)
+		cfgs := make([]core.Config, opts.FirstRuns)
+		for i := range cfgs {
+			cfgs[i] = newCfg(core.DCFirst, seed*1000+int64(i))
 		}
-		if len(firsts) == 0 && opts.FirstRuns > 0 {
-			return trialOutcome{}, fmt.Errorf("all %d first runs failed: %w", opts.FirstRuns, errors.Join(firstErrs...))
+		o, err := firstRuns(ctx, prog, cfgs)
+		if err != nil {
+			return trialOutcome{}, err
+		}
+		// The first runs are an ensemble: a lost one is noted, and the
+		// survivors feed the second run.
+		var notes []TrialFailure
+		for _, f := range o.FirstFailures {
+			notes = append(notes, TrialFailure{
+				Analysis: core.DCFirst.String(), Seed: f.Seed, Attempt: 1,
+				Kind: string(supervise.Classify(f.Err)), Err: f.Err, Recovered: true,
+			})
 		}
 		cfg := newCfg(core.DCSecond, seed)
-		cfg.Filter = core.UnionFilter(firsts)
-		res, err := exec(cfg, seed)
+		cfg.Filter = core.UnionFilter(o.Firsts)
+		res, err := core.RunContext(ctx, prog, cfg)
 		if err != nil {
 			return trialOutcome{}, err
 		}

@@ -7,8 +7,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"sort"
 
 	"doublechecker/internal/core"
 	"doublechecker/internal/cost"
@@ -28,38 +30,28 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// Ten first runs (schedule seeds 0..9) run concurrently as one ensemble;
+	// the union of their static information filters the second run (seed 99).
 	fmt.Println("== multi-run mode: first runs (ICD only, no logging) ==")
-	var firsts []*core.Result
-	for i := 0; i < 10; i++ {
-		res, err := core.Run(prog, core.Config{
-			Analysis: core.DCFirst,
-			Sched:    vm.NewSticky(int64(i), built.Stickiness),
-			Atomic:   sp.Atomic,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		firsts = append(firsts, res)
-	}
-	filter := core.UnionFilter(firsts)
-	fmt.Printf("union of 10 first runs: %d method(s) implicated, unary accesses implicated: %v\n",
-		len(filter.Methods), filter.Unary)
-	for m := range filter.Methods {
-		fmt.Printf("  monitored in second run: %s\n", prog.MethodName(m))
-	}
-
-	fmt.Println("\n== second run (ICD+PCD on the filtered subset) ==")
-	second, err := core.Run(prog, core.Config{
-		Analysis: core.DCSecond,
-		Sched:    vm.NewSticky(99, built.Stickiness),
-		Atomic:   sp.Atomic,
-		Filter:   filter,
-	})
+	o, err := core.MultiRunContext(context.Background(), prog, sp.Atomic, 10, 0, 99)
 	if err != nil {
 		log.Fatal(err)
 	}
+	filter := core.UnionFilter(o.Firsts)
+	fmt.Printf("union of %d first runs: %d method(s) implicated, unary accesses implicated: %v\n",
+		len(o.Firsts), len(filter.Methods), filter.Unary)
+	var monitored []string
+	for m := range filter.Methods {
+		monitored = append(monitored, prog.MethodName(m))
+	}
+	sort.Strings(monitored)
+	for _, name := range monitored {
+		fmt.Printf("  monitored in second run: %s\n", name)
+	}
+
+	fmt.Println("\n== second run (ICD+PCD on the filtered subset) ==")
 	fmt.Printf("second run: %d violations, blamed %v\n",
-		len(second.Violations), second.BlamedMethodNames(prog))
+		len(o.Second.Violations), o.Second.BlamedMethodNames(prog))
 
 	fmt.Println("\n== modelled cost of each configuration (same schedule) ==")
 	for _, a := range []core.Analysis{

@@ -10,7 +10,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -532,11 +531,12 @@ type MultiRunOutcome struct {
 }
 
 // MultiRun executes the full multi-run pipeline: firstTrials first runs
-// (seeds seedBase..seedBase+firstTrials-1), union of their static
-// information, then one second run with seed secondSeed. Meters, if
-// wanted, must be attached per run by the caller via the returned configs —
-// this helper targets correctness flows; the evaluation harness drives the
-// runs itself for cost accounting.
+// (seeds seedBase..seedBase+firstTrials-1) executed concurrently as one
+// ensemble (FirstRuns), union of their static information, then one second
+// run with seed secondSeed. No run is metered: this helper targets
+// correctness flows, and callers that need cost accounting (the evaluation
+// harness) build their own configurations and drive RunEnsemble and
+// RunContext directly.
 //
 // Individual first-run failures are tolerated (the survivors' union feeds
 // the second run); it errors only when every first run fails, when the
@@ -550,28 +550,16 @@ func MultiRun(prog *vm.Program, atomic func(vm.MethodID) bool, firstTrials int, 
 // MultiRunContext is MultiRun under a context; see MultiRun for the
 // pipeline and failure-tolerance semantics.
 func MultiRunContext(ctx context.Context, prog *vm.Program, atomic func(vm.MethodID) bool, firstTrials int, seedBase, secondSeed int64) (*MultiRunOutcome, error) {
-	o := &MultiRunOutcome{}
-	var firstErrs []error
-	for i := 0; i < firstTrials; i++ {
-		seed := seedBase + int64(i)
-		r, err := RunContext(ctx, prog, Config{
-			Analysis: DCFirst,
-			Seed:     seed,
-			Atomic:   atomic,
-		})
-		if err != nil {
-			if ctx.Err() != nil {
-				// Cancellation is a whole-pipeline abort, not a lost run.
-				return o, fmt.Errorf("first run %d: %w", i, err)
-			}
-			o.FirstFailures = append(o.FirstFailures, FirstRunFailure{Index: i, Seed: seed, Err: err})
-			firstErrs = append(firstErrs, fmt.Errorf("first run %d (seed %d): %w", i, seed, err))
-			continue
-		}
-		o.Firsts = append(o.Firsts, r)
+	cfgs := make([]Config, firstTrials)
+	for i := range cfgs {
+		cfgs[i] = Config{Analysis: DCFirst, Seed: seedBase + int64(i), Atomic: atomic}
 	}
-	if len(o.Firsts) == 0 && firstTrials > 0 {
-		return o, fmt.Errorf("core: all %d first runs failed: %w", firstTrials, errors.Join(firstErrs...))
+	o, err := FirstRuns(ctx, prog, cfgs)
+	if err != nil {
+		if len(o.FirstFailures) == firstTrials { // every run lost, not canceled
+			err = fmt.Errorf("core: %w", err)
+		}
+		return o, err
 	}
 	second, err := RunContext(ctx, prog, Config{
 		Analysis: DCSecond,

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -122,6 +123,15 @@ func (r *Runner) run(name string, analysis core.Analysis, sp *spec.Spec, seed in
 	if err != nil {
 		return nil, err
 	}
+	res, err := core.Run(b.Prog, config(b, analysis, sp, seed, meter, mut))
+	if err != nil {
+		return nil, runErr(name, analysis, seed, err)
+	}
+	return res, nil
+}
+
+// config builds one run's configuration of benchmark b.
+func config(b *workloads.Built, analysis core.Analysis, sp *spec.Spec, seed int64, meter *cost.Meter, mut func(*core.Config)) core.Config {
 	cfg := core.Config{
 		Analysis: analysis,
 		Sched:    vm.NewSticky(seed, b.Stickiness),
@@ -131,11 +141,33 @@ func (r *Runner) run(name string, analysis core.Analysis, sp *spec.Spec, seed in
 	if mut != nil {
 		mut(&cfg)
 	}
-	res, err := core.Run(b.Prog, cfg)
+	return cfg
+}
+
+// runErr names the failed run in its error.
+func runErr(name string, analysis core.Analysis, seed int64, err error) error {
+	return fmt.Errorf("%s/%v seed %d: %w", name, analysis, seed, err)
+}
+
+// firstRuns executes FirstRuns unmetered first runs of one benchmark under
+// sp, run i on schedule seed seedBase+i, as one concurrent ensemble
+// (core.RunEnsemble). It fails on the first error in index order.
+func (r *Runner) firstRuns(name string, sp *spec.Spec, seedBase int64) ([]*core.Result, error) {
+	b, _, err := r.bench(name)
 	if err != nil {
-		return nil, fmt.Errorf("%s/%v seed %d: %w", name, analysis, seed, err)
+		return nil, err
 	}
-	return res, nil
+	cfgs := make([]core.Config, r.opts.FirstRuns)
+	for i := range cfgs {
+		cfgs[i] = config(b, core.DCFirst, sp, seedBase+int64(i), nil, nil)
+	}
+	results, errs := core.RunEnsemble(context.Background(), b.Prog, cfgs)
+	for i, err := range errs {
+		if err != nil {
+			return nil, runErr(name, core.DCFirst, seedBase+int64(i), err)
+		}
+	}
+	return results, nil
 }
 
 // refineFor runs (and caches) iterative refinement under one checker kind.
@@ -183,13 +215,9 @@ func (r *Runner) refineFor(name string, kind refineKind) (*spec.Result, error) {
 // multiRun executes the full multi-run pipeline for one logical trial:
 // FirstRuns first runs with derived seeds, union, one second run.
 func (r *Runner) multiRun(name string, sp *spec.Spec, trial int64) (*core.Result, error) {
-	var firsts []*core.Result
-	for i := 0; i < r.opts.FirstRuns; i++ {
-		res, err := r.run(name, core.DCFirst, sp, trial*1000+int64(i), nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		firsts = append(firsts, res)
+	firsts, err := r.firstRuns(name, sp, trial*1000)
+	if err != nil {
+		return nil, err
 	}
 	filter := core.UnionFilter(firsts)
 	return r.run(name, core.DCSecond, sp, trial, nil, func(c *core.Config) { c.Filter = filter })
@@ -225,13 +253,9 @@ func (r *Runner) secondRunFilter(name string) (*txn.Filter, error) {
 	if err != nil {
 		return nil, err
 	}
-	var firsts []*core.Result
-	for i := 0; i < r.opts.FirstRuns; i++ {
-		res, err := r.run(name, core.DCFirst, final, 9000+int64(i), nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		firsts = append(firsts, res)
+	firsts, err := r.firstRuns(name, final, 9000)
+	if err != nil {
+		return nil, err
 	}
 	f := core.UnionFilter(firsts)
 	r.filters[name] = f

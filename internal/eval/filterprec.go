@@ -51,13 +51,9 @@ func (r *Runner) FilterPrecision() (*FilterPrecisionData, error) {
 		if err != nil {
 			return nil, err
 		}
-		var firsts []*core.Result
-		for i := 0; i < r.opts.FirstRuns; i++ {
-			res, err := r.run(name, core.DCFirst, initial, 9100+int64(i), nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			firsts = append(firsts, res)
+		firsts, err := r.firstRuns(name, initial, 9100)
+		if err != nil {
+			return nil, err
 		}
 		_ = final
 		for _, support := range []int{1, 2, 4, 8} {

@@ -345,7 +345,11 @@ func runAttempt[T any](ctx context.Context, timeout time.Duration, seed int64,
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			digest = stackDigest(debug.Stack())
+			stack := debug.Stack()
+			if p, ok := r.(*Panic); ok {
+				r, stack = p.Value, p.Stack
+			}
+			digest = PanicDigest(stack)
 			err = fmt.Errorf("checker panic: %v", r)
 			panicked = true
 		}
@@ -354,21 +358,30 @@ func runAttempt[T any](ctx context.Context, timeout time.Duration, seed int64,
 	return v, err, false, ""
 }
 
-// stackDigest hashes a panic stack into a stable 8-hex-digit fingerprint.
-// Only the frames between the panic site and the supervisor's recover point
-// are hashed, and goroutine IDs, argument values, and code offsets are
-// stripped: the same checker bug digests identically across trials, seeds,
-// and processes, so repeated failures can be recognized as one bug.
-func stackDigest(stack []byte) string {
-	return digestBelow(stack, "supervise.runAttempt")
+// Panic carries a panic recovered on a worker goroutine to the goroutine
+// that re-raises it: Value is the original panic value and Stack the
+// worker's own stack, captured by debug.Stack in its recover. Trial's
+// quarantine unwraps it, so the failure names Value and its StackDigest
+// comes from the panic site, not from the re-raise. A Panic that reaches
+// the top of a goroutine prints both.
+type Panic struct {
+	Value any
+	Stack []byte
 }
 
-// PanicDigest hashes a panic stack captured with debug.Stack into the same
-// stable fingerprint TrialFailure carries. Other recovery points — the PCD
-// worker pool quarantining a per-SCC panic — use it so one underlying bug
-// digests identically whether a trial supervisor or a pool worker caught it.
+func (p *Panic) Error() string {
+	return fmt.Sprintf("%v [recovered on a worker goroutine]\n\n%s", p.Value, p.Stack)
+}
+
+// PanicDigest hashes a panic stack captured with debug.Stack into a stable
+// 8-hex-digit fingerprint. Only the frames between the panic site and the
+// recover point are hashed — a trial supervisor (supervise.runAttempt), a
+// PCD pool worker (pcd.(*Pool).runJob) or a first-run ensemble worker
+// (core.runMember) — and goroutine IDs, argument values, and code offsets
+// are stripped: the same checker bug digests identically across trials,
+// seeds and processes, so repeated failures can be recognized as one bug.
 func PanicDigest(stack []byte) string {
-	return digestBelow(stack, "supervise.runAttempt", "pcd.(*Pool).runJob")
+	return digestBelow(stack, "supervise.runAttempt", "pcd.(*Pool).runJob", "core.runMember")
 }
 
 // digestBelow implements stack digesting, cutting the trace at the first

@@ -30,6 +30,7 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -200,4 +201,43 @@ func sortedNames[V any](m map[string]V) []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// Merge adds src's metrics to r as if the code that wrote src had written
+// into r directly, after everything r already holds: counters, histogram
+// buckets and span totals add, and a gauge src holds replaces r's (last
+// writer wins). Merging several registries in a fixed order therefore gives
+// the same registry as running their writers one after another against r,
+// whichever of them finished first. Every metric name in src is created in
+// r, zero-valued ones included. A histogram must have the same bounds in
+// both registries; a mismatch panics.
+func (r *Registry) Merge(src *Registry) {
+	if r == nil || src == nil || r == src {
+		return
+	}
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	for n, c := range src.counters {
+		r.Counter(n).Add(c.Value())
+	}
+	for n, g := range src.gauges {
+		r.Gauge(n).Set(g.Value())
+	}
+	for n, h := range src.histograms {
+		dst := r.Histogram(n, h.bounds)
+		if !slices.Equal(dst.bounds, h.bounds) {
+			panic("telemetry: merging histogram " + n + " with different bucket bounds")
+		}
+		for i := range h.buckets {
+			dst.buckets[i].Add(h.buckets[i].Load())
+		}
+		dst.count.Add(h.count.Load())
+		dst.sum.Add(h.sum.Load())
+	}
+	for n, s := range src.spans {
+		dst := r.spanStat(n)
+		dst.count.Add(s.count.Load())
+		dst.costUnits.Add(s.costUnits.Load())
+		dst.wallNanos.Add(s.wallNanos.Load())
+	}
 }

@@ -185,3 +185,57 @@ func TestSnapshotAccessors(t *testing.T) {
 		t.Error("missing gauge should read 0")
 	}
 }
+
+// write applies one writer's metric updates; TestMergeMatchesSequentialWrites
+// replays the same writers directly and through private registries.
+func write(reg *Registry, k int) {
+	reg.Counter("c").Add(uint64(k))
+	reg.Counter("zero")
+	reg.Gauge("g").Set(float64(10 * k))
+	if k%2 == 0 {
+		reg.Gauge("even").Set(float64(k))
+	}
+	reg.Histogram("h", []uint64{2, 8}).Observe(uint64(k * 3))
+	sp := reg.StartSpan(obs.Span{}, "phase", nil)
+	sp.End()
+}
+
+// TestMergeMatchesSequentialWrites pins Merge's contract: merging private
+// registries in order gives the registry the writers would have left by
+// writing into it one after another — counters, histograms and spans add,
+// gauges keep the last writer's value.
+func TestMergeMatchesSequentialWrites(t *testing.T) {
+	direct, merged := NewRegistry(), NewRegistry()
+	direct.Counter("c").Add(100)
+	merged.Counter("c").Add(100)
+	var wall int64
+	for k := 1; k <= 5; k++ {
+		write(direct, k)
+		private := NewRegistry()
+		write(private, k)
+		wall += private.Snapshot().Spans["phase"].WallNanos
+		merged.Merge(private)
+	}
+	got, want := merged.Snapshot().Deterministic().JSON(), direct.Snapshot().Deterministic().JSON()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("merged registry:\n%s\nwant\n%s", got, want)
+	}
+	if g := merged.Snapshot().Gauge("even"); g != 4 {
+		t.Errorf("gauge written only by writers 2 and 4 = %v, want 4", g)
+	}
+	if s := merged.Snapshot().Spans["phase"]; s.Count != 5 || s.WallNanos != wall {
+		t.Errorf("span totals %+v, want 5 occurrences taking %d ns", s, wall)
+	}
+}
+
+func TestMergeRejectsDifferentHistogramBounds(t *testing.T) {
+	dst, src := NewRegistry(), NewRegistry()
+	dst.Histogram("h", []uint64{1, 2})
+	src.Histogram("h", []uint64{1, 4})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("merging histograms with different bounds did not panic")
+		}
+	}()
+	dst.Merge(src)
+}
