@@ -119,6 +119,9 @@ type Options struct {
 	// goroutine, in run order: a multi-run trial's first runs are all
 	// configured, in index order, before any of them starts.
 	inject func(analysis core.Analysis, seed int64, cfg *core.Config)
+	// clock, when set (tests only), replaces the wall clock behind
+	// TrialTimeout deadlines.
+	clock supervise.Clock
 
 	// telemetry is the check-wide metric registry, created by
 	// CheckUnitContext and shared by every run and the supervisor; its
@@ -180,7 +183,7 @@ func (o Options) validate() error {
 
 // budget derives the supervision budget from the options.
 func (o Options) budget() supervise.Budget {
-	return supervise.Budget{TrialTimeout: o.TrialTimeout, Retries: o.Retries, Telemetry: o.telemetry}
+	return supervise.Budget{TrialTimeout: o.TrialTimeout, Retries: o.Retries, Telemetry: o.telemetry, Clock: o.clock}
 }
 
 // Violation is one detected conflict-serializability violation.

@@ -121,15 +121,15 @@ type Config struct {
 	ParallelPCD bool
 	// PCDWorkers makes §5.3's suggestion real: values ≥ 2 replay SCCs on
 	// that many concurrent worker goroutines (internal/pcd's pool), handed
-	// off at ICD's SCC-discovery point and merged deterministically at the
+	// off as ICD finds each SCC final and merged deterministically at the
 	// end of the run — findings, stats, and the deterministic telemetry
 	// snapshot are byte-identical to the serial path for any worker count.
 	// 0 or 1 keeps the serial in-line replay. A pooled run charges PCD to
 	// per-SCC off-critical-path meters (ParallelPCD-style accounting is
 	// implied; only the hand-off snapshot stays on the main meter). PCDOnly
 	// ignores it: the straw man replays everything at program end, after
-	// the event stream — there is no discovery-time hand-off to move off
-	// the critical path.
+	// the event stream — there is no in-run hand-off to move off the
+	// critical path.
 	PCDWorkers int
 	// PCDPoolHook, if non-nil, runs on a pool worker just before each SCC
 	// replay (PCDWorkers ≥ 2 only); a panic in it is quarantined to that
@@ -443,6 +443,9 @@ func buildAnalysis(ctx context.Context, prog *vm.Program, cfg Config, res *Resul
 		}
 		inst = ic
 		collect = func() {
+			// A partial trace ends without ProgramEnd; what ICD still holds
+			// pending is checked as it stands.
+			ic.Flush()
 			res.ICD = ic.Stats()
 			res.Txn = ic.TxnStats()
 			if cfg.Analysis == PCDOnly {

@@ -428,11 +428,12 @@ func TestPropertyCostOrdering(t *testing.T) {
 }
 
 // TestXalanPathologyShape: a lock ping-pong workload where every release/
-// acquire conflicts produces many overlapping imprecise SCCs that PCD must
-// reprocess — the paper's xalan6 case, the one benchmark where Velodrome
-// beats single-run mode (§5.3). Assert the mechanism, not the exact ratio:
-// ICD reports many SCCs and PCD replays far more transactions than the
-// program has.
+// acquire conflicts produces many overlapping imprecise SCCs — the paper's
+// xalan6 case, the one benchmark where Velodrome beats single-run mode
+// (§5.3), because its PCD replayed every SCC again each time it grew.
+// Assert the mechanism, not the exact ratio: ICD detects many growing SCCs,
+// counting their members over and over, while PCD, handed only final SCCs,
+// replays each transaction once.
 func TestXalanPathologyShape(t *testing.T) {
 	prog, atomic := genContended(11)
 	r, err := Run(prog, Config{Analysis: DCSingle, Seed: 5, Atomic: atomic})
@@ -442,9 +443,13 @@ func TestXalanPathologyShape(t *testing.T) {
 	if r.ICD.SCCs < 10 {
 		t.Errorf("expected many imprecise SCCs, got %d", r.ICD.SCCs)
 	}
-	if r.PCD.TxnsProcessed < 5*r.ICD.SCCs {
-		t.Errorf("expected heavy PCD reprocessing: %d txns over %d SCCs",
-			r.PCD.TxnsProcessed, r.ICD.SCCs)
+	if r.ICD.SCCTxns < 5*r.PCD.TxnsProcessed {
+		t.Errorf("expected detections to re-count members: %d detected members, %d replayed",
+			r.ICD.SCCTxns, r.PCD.TxnsProcessed)
+	}
+	if r.PCD.TxnsProcessed == 0 || r.PCD.TxnsProcessed != r.PCD.DistinctTxns {
+		t.Errorf("PCD replayed %d transactions, %d distinct; want each once",
+			r.PCD.TxnsProcessed, r.PCD.DistinctTxns)
 	}
 	if len(r.Violations) != 0 {
 		t.Errorf("properly locked ping-pong has no precise violations, got %d", len(r.Violations))

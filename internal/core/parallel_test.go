@@ -156,12 +156,16 @@ func TestPCDPoolQuarantine(t *testing.T) {
 	if q.Index != 0 || q.Err == "" || q.Digest == "" {
 		t.Errorf("quarantine record incomplete: %+v", q)
 	}
-	if r.ICD.SCCs < 2 {
-		t.Fatalf("workload produced %d SCCs; test needs several", r.ICD.SCCs)
+	serial, err := Run(prog, Config{Analysis: DCSingle, Seed: 5, Atomic: atomic})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.PCD.SCCsProcessed != uint64(r.ICD.SCCs-1) {
+	if serial.PCD.SCCsProcessed < 2 {
+		t.Fatalf("workload produced %d final SCCs; test needs several", serial.PCD.SCCsProcessed)
+	}
+	if r.PCD.SCCsProcessed != serial.PCD.SCCsProcessed-1 {
 		t.Errorf("processed %d SCCs; want %d (all but the quarantined one)",
-			r.PCD.SCCsProcessed, r.ICD.SCCs-1)
+			r.PCD.SCCsProcessed, serial.PCD.SCCsProcessed-1)
 	}
 }
 

@@ -14,7 +14,9 @@
 //     granularity (core.TraceDiff.OnlyDC / OnlyVelo empty).
 //  3. Determinism: the rendered replay report, the deterministic telemetry
 //     snapshot, and the violation signatures are byte-identical for every
-//     PCD worker count.
+//     PCD worker count; the report, the signatures and PCD's counters are
+//     also identical for every transaction-GC period, which moves when ICD
+//     hands each final SCC to PCD but must not change what PCD sees.
 //  4. Engine agreement: ICD's scan and incremental detection engines render
 //     byte-identical reports and violation signatures (they may do different
 //     amounts of work, never find different things).
@@ -34,6 +36,7 @@ import (
 
 	"doublechecker/internal/core"
 	"doublechecker/internal/icd"
+	"doublechecker/internal/pcd"
 	"doublechecker/internal/spec"
 	"doublechecker/internal/trace"
 	"doublechecker/internal/vm"
@@ -169,7 +172,8 @@ type TripleResult struct {
 	// DC ≡ Velodrome at blamed-method granularity.
 	Agree bool `json:"agree"`
 	// Deterministic reports oracle 3: report bytes, deterministic telemetry,
-	// and violation signatures identical across all PCD worker counts.
+	// and violation signatures identical across all PCD worker counts, and
+	// report bytes, signatures and PCD counters across GC periods.
 	Deterministic bool `json:"deterministic"`
 	// OnlyDC, OnlyVelo and ICDMissed carry the disagreement detail when
 	// Agree is false (see core.TraceDiff).
@@ -280,10 +284,17 @@ func CheckEngineAgreement(ctx context.Context, d *trace.Data) (bool, string, err
 	return true, "", nil
 }
 
+// gcPeriods are the transaction-GC periods oracle 3 compares against the
+// default: one that collects (and so hands off) every few accesses, and
+// one that never collects, handing every SCC off at program end.
+var gcPeriods = []uint64{64, 1 << 62}
+
 // CheckDeterminism is oracle 3 on its own: replay DoubleChecker single-run
 // mode at every worker count and require byte-identical rendered reports,
-// deterministic telemetry snapshots, and violation signatures. Returns a
-// diagnosis naming the first divergence found.
+// deterministic telemetry snapshots, and violation signatures; then replay
+// it at every GC period in gcPeriods and require the same reports,
+// signatures and PCD counters. Returns a diagnosis naming the first
+// divergence found.
 func CheckDeterminism(ctx context.Context, d *trace.Data, pcdWorkers []int) (bool, string, error) {
 	if len(pcdWorkers) == 0 {
 		pcdWorkers = []int{0, 2, 4}
@@ -291,6 +302,7 @@ func CheckDeterminism(ctx context.Context, d *trace.Data, pcdWorkers []int) (boo
 	var refReport string
 	var refTel []byte
 	var refSigs string
+	var refPCD pcd.Stats
 	for i, w := range pcdWorkers {
 		res, err := core.RunTrace(ctx, d, core.Config{Analysis: core.DCSingle, PCDWorkers: w})
 		if err != nil {
@@ -303,7 +315,7 @@ func CheckDeterminism(ctx context.Context, d *trace.Data, pcdWorkers []int) (boo
 		tel := res.Telemetry.Deterministic().JSON()
 		sigs := fmt.Sprint(core.ViolationSignatures(res, d.Header.Program))
 		if i == 0 {
-			refReport, refTel, refSigs = report, tel, sigs
+			refReport, refTel, refSigs, refPCD = report, tel, sigs, res.PCD
 			continue
 		}
 		switch {
@@ -313,6 +325,20 @@ func CheckDeterminism(ctx context.Context, d *trace.Data, pcdWorkers []int) (boo
 			return false, fmt.Sprintf("violation signatures diverge at pcd-workers=%d vs %d", w, pcdWorkers[0]), nil
 		case !bytes.Equal(tel, refTel):
 			return false, fmt.Sprintf("deterministic telemetry diverges at pcd-workers=%d vs %d", w, pcdWorkers[0]), nil
+		}
+	}
+	for _, gc := range gcPeriods {
+		res, err := core.RunTrace(ctx, d, core.Config{Analysis: core.DCSingle, PCDWorkers: pcdWorkers[0], GCPeriod: gc})
+		if err != nil {
+			return false, "", fmt.Errorf("gc-period=%d: %w", gc, err)
+		}
+		switch {
+		case core.ReplayReport(d.Header.Source, d, res) != refReport:
+			return false, fmt.Sprintf("report bytes diverge at gc-period=%d vs the default", gc), nil
+		case fmt.Sprint(core.ViolationSignatures(res, d.Header.Program)) != refSigs:
+			return false, fmt.Sprintf("violation signatures diverge at gc-period=%d vs the default", gc), nil
+		case res.PCD != refPCD:
+			return false, fmt.Sprintf("pcd counters diverge at gc-period=%d vs the default: %+v vs %+v", gc, res.PCD, refPCD), nil
 		}
 	}
 	return true, "", nil

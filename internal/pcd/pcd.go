@@ -46,7 +46,7 @@ const (
 // Stats counts PCD activity.
 type Stats struct {
 	SCCsProcessed   uint64
-	TxnsProcessed   uint64 // SCC members fed to Process (re-reports included)
+	TxnsProcessed   uint64 // SCC members fed to Process (a re-fed member counts again)
 	DistinctTxns    uint64 // distinct transactions ever sent to PCD
 	EntriesReplayed uint64
 	PDGEdges        uint64
@@ -869,36 +869,18 @@ func (t *table) get(key uint64, aux uint32) (int32, bool) {
 // stamp s, executed everything that precedes the mark: the mark's own
 // transaction's log prefix, and all of T's earlier transactions. The replay
 // therefore processes marks in stamp order and flushes those prefixes
-// before each one. The SCC's own marks are not always enough — a
-// happens-before chain between two SCC accesses can run through
-// transactions outside the reported SCC (ones unfinished at detection
-// time, say) — so ordering anchors are pulled transitively through the
-// recorded edge structure: every mark names its peer transaction, whose own
-// marks are further evidence. Entries after a thread's last anchor follow
-// in a deterministic tail. The entries are appended to refs.
+// before each one. Only the marks of edges between two SCC members count.
+// ICD hands off final SCCs, and in a final SCC every IDG path between two
+// members runs through members only (a transaction on such a path reaches
+// the SCC and is reached from it), so the internal marks carry all the
+// ordering evidence there is. Marks of edges to outsiders are left out:
+// a member can still gain them after the SCC is final, and they must not
+// change its replay. Entries after a thread's last anchor follow in a
+// deterministic tail. The entries are appended to refs.
 func orderByEdges(scc []*txn.Txn, refs []ref) []ref {
 	memberOf := make(map[*txn.Txn]int32, len(scc))
 	for i, tx := range scc {
 		memberOf[tx] = int32(i)
-	}
-	// Pull the anchor set: SCC transactions plus everything reachable
-	// through mark peers (bounded — real chains are short; the cap only
-	// guards pathological graphs).
-	const maxAnchors = 1 << 16
-	anchors := make(map[*txn.Txn]bool, len(scc))
-	queue := append([]*txn.Txn(nil), scc...)
-	for _, tx := range scc {
-		anchors[tx] = true
-	}
-	for len(queue) > 0 && len(anchors) < maxAnchors {
-		tx := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, mk := range tx.Marks {
-			if mk.Other != nil && !anchors[mk.Other] {
-				anchors[mk.Other] = true
-				queue = append(queue, mk.Other)
-			}
-		}
 	}
 
 	// Per-thread program-order chains over SCC members. Same-thread
@@ -952,26 +934,23 @@ func orderByEdges(scc []*txn.Txn, refs []ref) []ref {
 	// side is emitted first.
 	type gmark struct {
 		tx  *txn.Txn
-		cut int // entries of tx preceding the mark (SCC members only)
+		cut int // entries of tx preceding the mark
 		seq uint64
 		in  bool
 	}
 	var marks []gmark
-	for tx := range anchors {
+	for _, tx := range scc {
 		li := 0
-		_, member := memberOf[tx]
 		for _, mk := range tx.Marks {
-			cut := 0
-			if member {
-				// Entries strictly before the mark; an equal-Seq entry
-				// comes after it (the barrier fires before the access is
-				// logged).
-				for li < len(tx.Log) && tx.Log[li].Seq < mk.Seq {
-					li++
-				}
-				cut = li
+			if _, internal := memberOf[mk.Other]; !internal {
+				continue
 			}
-			marks = append(marks, gmark{tx: tx, cut: cut, seq: mk.Seq, in: mk.In})
+			// Entries strictly before the mark; an equal-Seq entry comes
+			// after it (the barrier fires before the access is logged).
+			for li < len(tx.Log) && tx.Log[li].Seq < mk.Seq {
+				li++
+			}
+			marks = append(marks, gmark{tx: tx, cut: li, seq: mk.Seq, in: mk.In})
 		}
 	}
 	sort.Slice(marks, func(i, j int) bool {
@@ -985,9 +964,7 @@ func orderByEdges(scc []*txn.Txn, refs []ref) []ref {
 	})
 	for _, m := range marks {
 		flushThreadBefore(m.tx.Thread, m.tx.ID)
-		if _, member := memberOf[m.tx]; member {
-			flushTo(m.tx, m.cut)
-		}
+		flushTo(m.tx, m.cut)
 	}
 
 	// Deterministic tail: remaining entries per thread, in ID order.

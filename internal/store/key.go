@@ -33,8 +33,10 @@ import (
 // FormatVersion is the result-store format version. It leads every encoded
 // key, so bumping it invalidates every existing entry at once — the
 // invalidation story for any change to the entry format or to what a key
-// must include.
-const FormatVersion = 1
+// must include. Version 2 entries come from checks whose PCD replays each
+// final SCC once; version 1 entries, whose PCD replayed an SCC at every
+// growth, can carry different violation counts for the same key.
+const FormatVersion = 2
 
 // Decode errors; match with errors.Is.
 var (

@@ -71,6 +71,15 @@ func TestKeyDecodeRejects(t *testing.T) {
 	if _, err := DecodeKey(bumped); !errors.Is(err, ErrVersion) {
 		t.Fatalf("version bump: got %v, want ErrVersion", err)
 	}
+	// So is a key of the previous format, v1, whose entries counted the
+	// violations of a PCD that replayed every SCC growth.
+	if FormatVersion != 2 {
+		t.Fatalf("FormatVersion = %d; this fixture pins v2", FormatVersion)
+	}
+	v1 := append([]byte{1}, enc[1:]...)
+	if _, err := DecodeKey(v1); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v1 key: got %v, want ErrVersion", err)
+	}
 }
 
 func TestKeyIDDistinct(t *testing.T) {

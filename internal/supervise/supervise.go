@@ -206,6 +206,18 @@ type Budget struct {
 	// the TrialFailure (FlightRecord) — the post-mortem record of what the
 	// process was doing when the checker blew up.
 	Recorder *obs.FlightRecorder
+	// Clock makes each attempt's TrialTimeout deadline; nil is the wall
+	// clock.
+	Clock Clock
+}
+
+// Clock makes deadline contexts. The wall clock is context.WithTimeout; a
+// test supplies a clock whose time moves only as the checked run advances
+// it, so whether a trial times out follows from the run, not from how fast
+// the host executes it. A deadline that passes must end the context with
+// context.DeadlineExceeded.
+type Clock interface {
+	WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc)
 }
 
 // count bumps one supervision counter when a registry is attached.
@@ -279,7 +291,7 @@ func Trial[T any](ctx context.Context, b Budget, analysis string, seed int64,
 			attemptSpan.SetInt("attempt", int64(a))
 			attemptSpan.SetInt("seed", s)
 		}
-		v, err, panicked, digest := runAttempt(actx, b.TrialTimeout, s, attempt)
+		v, err, panicked, digest := runAttempt(actx, b.Clock, b.TrialTimeout, s, attempt)
 		if err == nil {
 			attemptSpan.End()
 			out.Value, out.OK, out.Seed = v, true, s
@@ -332,15 +344,19 @@ func Trial[T any](ctx context.Context, b Budget, analysis string, seed int64,
 	}
 }
 
-// runAttempt executes one attempt under an optional deadline, quarantining
-// panics into (err, panicked, digest).
-func runAttempt[T any](ctx context.Context, timeout time.Duration, seed int64,
+// runAttempt executes one attempt under an optional deadline on clock (nil:
+// the wall clock), quarantining panics into (err, panicked, digest).
+func runAttempt[T any](ctx context.Context, clock Clock, timeout time.Duration, seed int64,
 	attempt func(context.Context, int64) (T, error)) (v T, err error, panicked bool, digest string) {
 
 	actx := ctx
 	if timeout > 0 {
 		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, timeout)
+		if clock != nil {
+			actx, cancel = clock.WithTimeout(ctx, timeout)
+		} else {
+			actx, cancel = context.WithTimeout(ctx, timeout)
+		}
 		defer cancel()
 	}
 	defer func() {

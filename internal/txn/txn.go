@@ -207,6 +207,9 @@ type Manager struct {
 	// storage is reclaimed (incremental detection engines drop their node
 	// state here).
 	onSweep func(*Txn)
+	// onCollect is invoked once per Collect between marking and sweeping,
+	// while every condemned transaction is still intact.
+	onCollect func(survives func(*Txn) bool)
 
 	noElide bool
 	noMerge bool
@@ -262,6 +265,13 @@ func (m *Manager) OnIntraEdge(f func(src, dst *Txn)) { m.onIntraEdge = f }
 // OnSweep registers a callback fired for every transaction Collect sweeps,
 // before the transaction's storage is reclaimed.
 func (m *Manager) OnSweep(f func(*Txn)) { m.onSweep = f }
+
+// OnCollect registers a callback fired once per Collect after marking and
+// before anything is swept: survives(t) reports whether t outlives this
+// collection. Everything the callback can reach is still intact, logs
+// included, so a checker can act on transactions about to die; the
+// predicate is valid only during the call.
+func (m *Manager) OnCollect(f func(survives func(*Txn) bool)) { m.onCollect = f }
 
 // EnableRecycling turns on free-list reuse of swept transaction nodes and
 // edge objects. Only safe when nothing retains *Txn or *Edge pointers past a
@@ -599,6 +609,9 @@ func (m *Manager) Collect(extraRoots []*Txn) int {
 			mark(e.Dst)
 		}
 	}
+	if m.onCollect != nil {
+		m.onCollect(marked)
+	}
 	kept := m.all[:0]
 	swept := 0
 	for _, tx := range m.all {
@@ -641,6 +654,10 @@ func (m *Manager) Collect(extraRoots []*Txn) int {
 	m.gcStack = stack
 	return swept
 }
+
+// marked is OnCollect's survival predicate: during a Collect, exactly the
+// transactions reachable from the roots are marked.
+func marked(t *Txn) bool { return t.marked }
 
 // Dead reports whether the transaction was swept by Collect.
 func (t *Txn) Dead() bool { return t.dead }

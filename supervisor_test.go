@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -331,6 +332,94 @@ func TestTrialDeadlineBoundsLongTrial(t *testing.T) {
 	}
 }
 
+// stepClock is a trial clock whose time moves only when advance is called,
+// so a deadline it makes expires at a point of the checked run, not at a
+// point of the host's wall clock.
+type stepClock struct {
+	mu     sync.Mutex
+	now    time.Duration
+	timers []stepTimer
+}
+
+type stepTimer struct {
+	at  time.Duration
+	ctx *stepCtx
+}
+
+// WithTimeout implements supervise.Clock.
+func (c *stepClock) WithTimeout(parent context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	ctx := &stepCtx{Context: parent, done: make(chan struct{})}
+	c.mu.Lock()
+	c.timers = append(c.timers, stepTimer{at: c.now + d, ctx: ctx})
+	c.mu.Unlock()
+	stop := context.AfterFunc(parent, func() { ctx.end(parent.Err()) })
+	return ctx, func() {
+		stop()
+		ctx.end(context.Canceled)
+	}
+}
+
+// advance moves the clock forward by d, expiring every deadline it passes.
+func (c *stepClock) advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now += d
+	kept := c.timers[:0]
+	for _, tm := range c.timers {
+		if tm.at <= c.now {
+			tm.ctx.end(context.DeadlineExceeded)
+		} else {
+			kept = append(kept, tm)
+		}
+	}
+	c.timers = kept
+}
+
+// stepCtx is a stepClock deadline context: its parent's values, its own
+// end.
+type stepCtx struct {
+	context.Context
+	done chan struct{}
+	mu   sync.Mutex
+	err  error
+}
+
+func (c *stepCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (c *stepCtx) Done() <-chan struct{}       { return c.done }
+
+func (c *stepCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
+}
+
+func (c *stepCtx) end(err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil {
+		c.err = err
+		close(c.done)
+	}
+}
+
+// clockStall forwards every event and charges each access 2ms of the step
+// clock's time: an injected stall that costs the run's clock, not the
+// host's.
+type clockStall struct {
+	vm.Instrumentation
+	clock *stepClock
+}
+
+func (s clockStall) Access(a vm.Access) {
+	s.clock.advance(2 * time.Millisecond)
+	s.Instrumentation.Access(a)
+}
+
+// TestTrialDeadlineOnOneSeedKeepsOthers: a trial that overruns its deadline
+// fails as a timeout, and every other trial's findings are unchanged. The
+// deadline runs on a step clock that only the stalled seed advances (2ms
+// per access against a 50ms budget; slowSource makes ~1200 accesses), so
+// the outcome is the same on any host, however fast or loaded.
 func TestTrialDeadlineOnOneSeedKeepsOthers(t *testing.T) {
 	opts := Options{Trials: 3, Seed: 1}
 	baseline, err := CheckSource(slowSource, opts)
@@ -338,14 +427,14 @@ func TestTrialDeadlineOnOneSeedKeepsOthers(t *testing.T) {
 		t.Fatal(err)
 	}
 	const targetSeed = 2
+	clock := &stepClock{}
 	injected := opts
 	injected.TrialTimeout = 50 * time.Millisecond
+	injected.clock = clock
 	injected.inject = func(a core.Analysis, seed int64, cfg *core.Config) {
 		if a == core.DCSingle && seed == targetSeed {
 			cfg.WrapInst = func(in vm.Instrumentation) vm.Instrumentation {
-				return faultinject.Inst(in, &faultinject.Plan{
-					StallAtAccess: 1, StallEveryAccess: 1, StallFor: 2 * time.Millisecond,
-				})
+				return clockStall{Instrumentation: in, clock: clock}
 			}
 		}
 	}
